@@ -48,18 +48,12 @@ def record_gate_measurements(gate, *, threshold, unit, measurements):
         What the rates count (``"patterns/sec"``, ``"configs/sec"``).
     measurements:
         List of flat dicts — one per protocol/configuration the gate timed.
-        Each measurement is tagged with the active array backend (unless the
-        gate already set a ``"backend"`` key), so cross-backend trajectories
-        stay identity-aligned in ``repro bench compare``.
+        Each measurement is tagged ``"backend": "numpy"``: the tag is part of
+        its identity in ``repro bench compare``, and keeping it aligns new
+        artifacts with ``BENCH_baseline.json`` and earlier ones.
     """
-    try:
-        from repro.engine.backend import get_backend
-
-        backend_name = get_backend(None).name
-    except ValueError:
-        backend_name = "unknown"
     measurements = [
-        m if "backend" in m else {**m, "backend": backend_name} for m in measurements
+        m if "backend" in m else {**m, "backend": "numpy"} for m in measurements
     ]
     path = Path(os.environ.get("BENCH_RESULTS_PATH", _DEFAULT_RESULTS_PATH))
     try:

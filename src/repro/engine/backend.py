@@ -1,506 +1,15 @@
-"""The pluggable array-backend layer: one ``xp`` shim for every engine kernel.
+"""The engines' array library, by name: always NumPy.
 
-At B≈10^5 patterns the engines' Python-side orchestration is already thin;
-wall time goes to a handful of array kernels — the 2-D ``bincount`` transmit
-counts, the first-success mask/argmax extraction, the Bernoulli compares, the
-waking-matrix membership hashes.  This module puts exactly that kernel
-surface behind a backend object so the same engine code can run it on
-different substrates:
-
-``numpy``
-    The reference implementation, always available, and the semantics every
-    other backend must reproduce **bit for bit** (the property suites assert
-    equality of every outcome column, including ``slots_examined``).
-
-``numexpr``
-    Fused CPU evaluation of the mask/compare/threshold expressions (the
-    per-chunk live mask, the ``counts == 1`` singles mask, the draw-vs-
-    probability compares, the Decay/RPD probability-table builds) through
-    :func:`numexpr.evaluate` — one multi-threaded pass instead of one
-    temporary per operator.  Everything numexpr cannot express (uint64 hash
-    mixing, gathers, ``bincount``) inherits the NumPy reference.
-
-``cupy``
-    Device-resident arrays for the heavy per-chunk block (``bincount`` →
-    singles → ``argmax``) and the membership hashes, with *explicit*
-    ``from_host``/``to_host`` boundaries; the per-row outcome columns of a
-    :class:`~repro.engine.batch.BatchResult` always live on the host, so the
-    transfer edge sits at the small per-chunk result vectors.  Randomness
-    stays on the host — :meth:`ArrayBackend.random_uniform` draws from each
-    pattern's own :class:`numpy.random.Generator` — which is what preserves
-    the bit-for-bit contract on a GPU.
-
-Selection
----------
-
-:func:`get_backend` resolves, in order: an explicit ``backend=`` argument
-(name or instance, threaded through the engines, :class:`~repro.engine.campaign.Campaign`,
-:class:`~repro.sweeps.SweepRunner` and the CLI), else the ``REPRO_BACKEND``
-environment variable, else ``numpy``.  An explicitly requested backend that
-is not importable fails with :class:`BackendUnavailableError` (a
-:class:`ValueError`, so the CLI reports it as a usage error); the special
-name ``auto`` probes ``cupy`` then ``numexpr`` and falls back to ``numpy``
-with a single warning.  Sweep workers inherit the parent's ``REPRO_BACKEND``
-through the environment, and the backend is execution metadata only — it
-never enters a sweep config's content hash.
-
-Layer-1 protocol kernels (waking-matrix membership, the probability-matrix
-builders) cannot receive the engines' ``backend=`` argument through the
-fixed protocol interfaces, so they resolve ``get_backend(None)`` — the
-environment-selected default — at each call.
-
-Observability
--------------
-
-Backends tally kernel invocations and host↔device transfer bytes on plain
-instance attributes (cheap enough for the feedback engine's per-slot loop);
-the engines report the per-run deltas as ``backend.<name>.*`` gauges plus a
-``backend.<name>.engine_runs`` counter, so ``repro obs report`` shows which
-backend ran and where the bytes went.
+Kept so provenance records can name the array library the engines ran on.
 """
 
-from __future__ import annotations
+from types import SimpleNamespace
 
-import importlib
-import os
-import warnings
-from typing import Tuple, Union
+__all__ = ["get_backend"]
 
-import numpy as np
+_NUMPY = SimpleNamespace(name="numpy")
 
-from repro import obs
 
-__all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "NumexprBackend",
-    "CupyBackend",
-    "BackendUnavailableError",
-    "BACKEND_NAMES",
-    "get_backend",
-    "available_backends",
-]
-
-#: The registered backend names, in reference-first order.
-BACKEND_NAMES: Tuple[str, ...] = ("numpy", "numexpr", "cupy")
-
-#: ``auto`` probe order: prefer the device, then fused CPU, then reference.
-_AUTO_ORDER: Tuple[str, ...] = ("cupy", "numexpr", "numpy")
-
-#: Environment variable consulted when no explicit backend is given.
-ENV_VAR = "REPRO_BACKEND"
-
-
-class BackendUnavailableError(ValueError):
-    """An explicitly requested backend's package is not importable.
-
-    Subclasses :class:`ValueError` so CLI entry points surface it as a usage
-    error (exit code 2) rather than a crash.
-    """
-
-
-def _load_module(name: str):
-    """Import one optional backend package (monkeypatch hook for the tests)."""
-    return importlib.import_module(name)
-
-
-class ArrayBackend:
-    """The NumPy reference backend and the base class of every fast path.
-
-    The method surface is exactly what the engines call: array movement
-    (:meth:`from_host`/:meth:`to_host`), the primitive kernels
-    (:meth:`bincount`, :meth:`searchsorted`, :meth:`cumsum`, :meth:`argmax`,
-    :meth:`ldexp`), the host-side random hook (:meth:`random_uniform`), and
-    the fused mask/compare expressions the scans are made of.  Subclasses
-    override only what they accelerate; anything inherited runs the NumPy
-    reference, which keeps every backend trivially bit-for-bit on the paths
-    it does not claim.
-    """
-
-    #: Registry name (``numpy``/``numexpr``/``cupy``).
-    name = "numpy"
-    #: True when arrays returned by the primitive kernels live off-host.
-    is_device = False
-
-    def __init__(self) -> None:
-        #: The array namespace primitive kernels run in (numpy or cupy).
-        self.xp = np
-        #: Diagnostic tallies (approximate under campaign threads; exact in
-        #: sweep workers, which run serially).  Reported as obs gauges by
-        #: :meth:`usage_report`.
-        self.kernel_calls = 0
-        self.from_host_bytes = 0
-        self.to_host_bytes = 0
-        # Precomputed metric names: usage_report must not format strings on
-        # the engines' hot path.
-        self._runs_counter = f"backend.{self.name}.engine_runs"
-        self._kernel_gauge = f"backend.{self.name}.kernel_calls"
-        self._from_host_gauge = f"backend.{self.name}.from_host_bytes"
-        self._to_host_gauge = f"backend.{self.name}.to_host_bytes"
-
-    # -- identity ------------------------------------------------------------
-
-    @property
-    def host(self) -> "ArrayBackend":
-        """The backend running this backend's *host-side* kernels.
-
-        CPU backends return themselves; :class:`CupyBackend` returns the
-        NumPy reference, so slot-synchronous code (the feedback engine) and
-        index-producing masks run on the host instead of bouncing per-slot
-        arrays across the PCIe bus.
-        """
-        return self
-
-    def note_kernel(self, calls: int = 1) -> None:
-        """Tally kernel invocations issued on this backend's behalf."""
-        self.kernel_calls += calls
-
-    # -- usage accounting ------------------------------------------------------
-
-    def usage_begin(self):
-        """Opaque cursor for :meth:`usage_report`; ``None`` when obs is off."""
-        if not obs.enabled():
-            return None
-        return (self.kernel_calls, self.from_host_bytes, self.to_host_bytes)
-
-    def usage_report(self, cursor) -> None:
-        """Report one engine run: a runs counter plus per-run usage gauges."""
-        obs.add(self._runs_counter)
-        if cursor is None:
-            return
-        kernels, from_host, to_host = cursor
-        obs.gauge(self._kernel_gauge, self.kernel_calls - kernels)
-        if self.is_device:
-            obs.gauge(self._from_host_gauge, self.from_host_bytes - from_host)
-            obs.gauge(self._to_host_gauge, self.to_host_bytes - to_host)
-
-    # -- array movement --------------------------------------------------------
-
-    def from_host(self, array):
-        """Move a host array into this backend's namespace (identity on CPU)."""
-        return array
-
-    def to_host(self, array):
-        """Move a backend array back to host NumPy (identity on CPU)."""
-        return array
-
-    # -- primitive kernels -----------------------------------------------------
-
-    def bincount(self, values, *, minlength: int = 0):
-        self.kernel_calls += 1
-        return self.xp.bincount(values, minlength=minlength)
-
-    def searchsorted(self, sorted_array, values, side: str = "left"):
-        self.kernel_calls += 1
-        return self.xp.searchsorted(sorted_array, values, side=side)
-
-    def cumsum(self, array, axis=None):
-        self.kernel_calls += 1
-        return self.xp.cumsum(array, axis=axis)
-
-    def argmax(self, array, axis=None):
-        self.kernel_calls += 1
-        return self.xp.argmax(array, axis=axis)
-
-    def ldexp(self, mantissa, exponent):
-        """``mantissa * 2**exponent`` — exact for the probability sweeps."""
-        self.kernel_calls += 1
-        return self.xp.ldexp(mantissa, exponent)
-
-    def random_uniform(self, generator: np.random.Generator, size=None, out=None):
-        """Uniform [0, 1) draws from a *host* generator.
-
-        The hook every engine draw goes through.  Draws always happen on the
-        host from the pattern's own child generator — the equivalence
-        contract is defined by the NumPy streams, so a device backend
-        transfers draws in rather than sampling device-side.
-        """
-        self.kernel_calls += 1
-        if out is not None:
-            generator.random(out=out)
-            return out
-        return generator.random(size)
-
-    # -- fused expressions -----------------------------------------------------
-    #
-    # Reference implementations written against ``self.xp`` with optional
-    # ``out=`` buffers (the scan's scratch reuse); NumexprBackend overrides
-    # them with single fused evaluate() calls.
-
-    def live_mask(self, done, wake, horizon, start, stop, out=None, tmp=None):
-        """``(~done) & (wake < stop) & (horizon > start)`` per pair."""
-        xp = self.xp
-        self.kernel_calls += 1
-        out = xp.less(wake, stop, out=out)
-        tmp = xp.greater(horizon, start, out=tmp)
-        out &= tmp
-        xp.logical_not(done, out=tmp)
-        out &= tmp
-        return out
-
-    def awake_mask(self, alive, wake, slot, out=None):
-        """``alive & (wake <= slot)`` — the feedback engine's per-slot mask."""
-        self.kernel_calls += 1
-        out = self.xp.less_equal(wake, slot, out=out)
-        out &= alive
-        return out
-
-    def singles_mask(self, counts, out=None):
-        """``counts == 1``: which (row, slot) cells saw exactly one transmitter."""
-        self.kernel_calls += 1
-        return self.xp.equal(counts, 1, out=out)
-
-    def compare_draws(self, draws, probabilities, out=None):
-        """``draws < probabilities`` — the Bernoulli hit mask."""
-        self.kernel_calls += 1
-        return self.xp.less(draws, probabilities, out=out)
-
-    def scan_keys(self, entry_pos, entry_slot, length: int, start: int):
-        """Flat bincount keys ``entry_pos * length + (entry_slot - start)``."""
-        self.kernel_calls += 1
-        return entry_pos * length + (entry_slot - start)
-
-    def drawable_mask(self, slots, wakes, horizons, probabilities_t):
-        """Which (slot, pair) cells consume one uniform draw.
-
-        ``slots`` has shape (L,), ``wakes``/``horizons`` shape (m,), and
-        ``probabilities_t`` shape (L, m); the result is the (L, m) mask of
-        cells where the station is awake, the slot is inside the row's
-        horizon, and the transmit probability is positive.
-        """
-        self.kernel_calls += 1
-        return (
-            (slots[:, None] >= wakes[None, :])
-            & (slots[:, None] < horizons[None, :])
-            & (probabilities_t > 0.0)
-        )
-
-    def outcome_codes(self, tx_per_row):
-        """Per-row channel outcome: 0 silence, 1 success, 2 collision."""
-        self.kernel_calls += 1
-        return (tx_per_row > 0).astype(np.int8) + (tx_per_row > 1).astype(np.int8)
-
-    def zero_before_wake(self, matrix, slots, wakes):
-        """Zero probability-matrix entries before each pair's wake-up."""
-        self.kernel_calls += 1
-        matrix[slots[None, :] < wakes[:, None]] = 0.0
-        return matrix
-
-
-class NumpyBackend(ArrayBackend):
-    """The reference backend, by its registry name."""
-
-
-class NumexprBackend(ArrayBackend):
-    """Fused CPU evaluation of the mask/compare expressions via numexpr.
-
-    Only same-shape (or pre-broadcast) elementwise expressions route through
-    :func:`numexpr.evaluate`; shapes numexpr rejects fall back to the NumPy
-    reference, so the backend is bit-for-bit by construction — it can only
-    change *how* an expression is evaluated, never its value.
-    """
-
-    name = "numexpr"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._ne = _load_module("numexpr")
-
-    def _evaluate(self, expression: str, local_dict: dict, out=None):
-        self.kernel_calls += 1
-        if out is None:
-            return self._ne.evaluate(expression, local_dict=local_dict, global_dict={})
-        self._ne.evaluate(expression, local_dict=local_dict, global_dict={}, out=out)
-        return out
-
-    def live_mask(self, done, wake, horizon, start, stop, out=None, tmp=None):
-        return self._evaluate(
-            "(~done) & (wake < stop) & (horizon > start)",
-            {"done": done, "wake": wake, "horizon": horizon, "start": start, "stop": stop},
-            out=out,
-        )
-
-    def awake_mask(self, alive, wake, slot, out=None):
-        return self._evaluate(
-            "alive & (wake <= slot)", {"alive": alive, "wake": wake, "slot": slot}, out=out
-        )
-
-    def singles_mask(self, counts, out=None):
-        return self._evaluate("counts == 1", {"counts": counts}, out=out)
-
-    def compare_draws(self, draws, probabilities, out=None):
-        try:
-            return self._evaluate(
-                "draws < probabilities",
-                {"draws": draws, "probabilities": probabilities},
-                out=out,
-            )
-        except (ValueError, TypeError, NotImplementedError):
-            return super().compare_draws(draws, probabilities, out=out)
-
-    def scan_keys(self, entry_pos, entry_slot, length: int, start: int):
-        return self._evaluate(
-            "pos * length + (slot - start)",
-            {"pos": entry_pos, "slot": entry_slot, "length": length, "start": start},
-        )
-
-    def drawable_mask(self, slots, wakes, horizons, probabilities_t):
-        # numexpr needs aligned shapes: pre-broadcast to (L, m) views and let
-        # one fused pass evaluate the three-term mask.  Falls back to the
-        # reference on the (strided) shapes a numexpr build rejects.
-        slots2, wakes2, horizons2 = np.broadcast_arrays(
-            slots[:, None], wakes[None, :], horizons[None, :]
-        )
-        try:
-            return self._evaluate(
-                "(slots2 >= wakes2) & (slots2 < horizons2) & (pt > 0.0)",
-                {"slots2": slots2, "wakes2": wakes2, "horizons2": horizons2,
-                 "pt": probabilities_t},
-            )
-        except (ValueError, TypeError, NotImplementedError):
-            return super().drawable_mask(slots, wakes, horizons, probabilities_t)
-
-    def outcome_codes(self, tx_per_row):
-        return self._evaluate(
-            "(tx > 0) * 1 + (tx > 1) * 1", {"tx": tx_per_row}
-        )
-
-    def zero_before_wake(self, matrix, slots, wakes):
-        slots2, wakes2 = np.broadcast_arrays(slots[None, :], wakes[:, None])
-        try:
-            return self._evaluate(
-                "where(slots2 < wakes2, 0.0, matrix)",
-                {"slots2": slots2, "wakes2": wakes2, "matrix": matrix},
-                out=matrix,
-            )
-        except (ValueError, TypeError, NotImplementedError):
-            return super().zero_before_wake(matrix, slots, wakes)
-
-
-class CupyBackend(ArrayBackend):
-    """Device-resident arrays via CuPy, with explicit transfer boundaries.
-
-    The primitive kernels inherit the base implementations verbatim — they
-    are written against ``self.xp``, which is the ``cupy`` module here — so
-    the per-chunk bincount/singles/argmax block runs on the device.  The
-    host-side fused masks and the slot-synchronous feedback kernels route
-    through :attr:`host` (the NumPy reference): their outputs feed index
-    arithmetic on host pair arrays, where a per-slot device round trip would
-    cost more than it saves.  All randomness is drawn on the host (see
-    :meth:`ArrayBackend.random_uniform`), preserving bit-for-bit equality.
-    """
-
-    name = "cupy"
-    is_device = True
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.xp = _load_module("cupy")
-
-    @property
-    def host(self) -> ArrayBackend:
-        return get_backend("numpy")
-
-    def from_host(self, array):
-        if isinstance(array, self.xp.ndarray):
-            return array
-        array = np.asarray(array)
-        self.from_host_bytes += array.nbytes
-        return self.xp.asarray(array)
-
-    def to_host(self, array):
-        if isinstance(array, self.xp.ndarray):
-            self.to_host_bytes += array.nbytes
-            return self.xp.asnumpy(array)
-        return array
-
-
-_FACTORIES = {
-    "numpy": NumpyBackend,
-    "numexpr": NumexprBackend,
-    "cupy": CupyBackend,
-}
-
-#: Resolved backend singletons, one per name.  Failed constructions are not
-#: cached, so installing (or monkeypatching in) a package takes effect on the
-#: next call.
-_INSTANCES: dict = {}
-
-#: The ``auto`` fallback warns once per process, not once per engine call.
-_AUTO_WARNED = False
-
-
-def _instance(name: str) -> ArrayBackend:
-    backend = _INSTANCES.get(name)
-    if backend is None:
-        try:
-            backend = _FACTORIES[name]()
-        except ImportError as exc:
-            raise BackendUnavailableError(
-                f"backend {name!r} requires the {name!r} package, which is not "
-                f"installed; install it or pick one of "
-                f"{', '.join(BACKEND_NAMES)} "
-                f"(via backend= or the {ENV_VAR} environment variable)"
-            ) from exc
-        _INSTANCES[name] = backend
-    return backend
-
-
-def _auto_backend() -> ArrayBackend:
-    global _AUTO_WARNED
-    for name in _AUTO_ORDER:
-        if name == "numpy":
-            break
-        try:
-            return _instance(name)
-        except BackendUnavailableError:
-            continue
-    if not _AUTO_WARNED:
-        _AUTO_WARNED = True
-        warnings.warn(
-            "REPRO_BACKEND=auto: neither cupy nor numexpr is installed; "
-            "falling back to the numpy reference backend",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return _instance("numpy")
-
-
-def get_backend(spec: Union[None, str, ArrayBackend] = None) -> ArrayBackend:
-    """Resolve a backend from an explicit spec, the environment, or default.
-
-    ``spec`` may be an :class:`ArrayBackend` instance (returned as-is), a
-    name from :data:`BACKEND_NAMES`, the special name ``"auto"`` (probe
-    cupy → numexpr → numpy, warning once on fallback), or ``None`` — in
-    which case the ``REPRO_BACKEND`` environment variable decides, and an
-    unset/empty variable means ``numpy``.  Unknown names raise
-    :class:`ValueError` listing the valid names; an unavailable explicit
-    backend raises :class:`BackendUnavailableError`.
-    """
-    if isinstance(spec, ArrayBackend):
-        return spec
-    if spec is None:
-        spec = os.environ.get(ENV_VAR, "").strip()
-        if not spec:
-            return _instance("numpy")
-    name = str(spec).strip().lower()
-    if name == "auto":
-        return _auto_backend()
-    if name not in _FACTORIES:
-        raise ValueError(
-            f"unknown array backend {name!r}: valid names are "
-            f"{', '.join(BACKEND_NAMES)}, auto"
-        )
-    return _instance(name)
-
-
-def available_backends() -> list:
-    """Names of the backends constructible right now (always includes numpy)."""
-    names = []
-    for name in BACKEND_NAMES:
-        try:
-            _instance(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return names
+def get_backend():
+    """The engines' array library (an object whose ``name`` is ``"numpy"``)."""
+    return _NUMPY

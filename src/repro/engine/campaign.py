@@ -1,4 +1,4 @@
-"""Campaign orchestration: shard large pattern sets across workers.
+"""Campaign orchestration: resolve large pattern sets shard by shard.
 
 A *campaign* is the unit of empirical confidence: thousands of wake-up
 patterns pushed through one protocol.  :class:`Campaign` cuts the pattern set
@@ -16,13 +16,13 @@ Two invariants make campaigns reproducible and composable:
   oblivious by construction; for randomized policies every pattern gets its
   own child generator derived with ``numpy.random.SeedSequence.spawn`` (see
   :mod:`repro._util`) *before* sharding, so the outcome of pattern ``i`` does
-  not depend on the shard size or worker count.  This covers feedback-driven
+  not depend on the shard size.  This covers feedback-driven
   policies too: their stochastic feedback updates (backoff windows, splitting
   coins) draw from the same per-pattern streams — whether resolved through
   the vectorized feedback engine
   (:func:`~repro.engine.feedback_batch.run_feedback_batch`) or the slot-loop
   fallback — so binary exponential backoff and tree splitting campaigns are
-  reproducible at any worker count.
+  reproducible at any shard size.
 * **Construction cost is shared.**  The selective-family constructions behind
   Scenario A/B protocols are served from a
   :class:`~repro.experiments.cache.FamilyCache`
@@ -35,7 +35,7 @@ Example
 >>> from repro.engine import Campaign
 >>> from repro.workloads import WorkloadSuite
 >>> patterns = WorkloadSuite().generate("uniform", n=64, k=8, batch=32, seed=0)
->>> campaign = Campaign(RoundRobin(64), shard_size=8, workers=2)
+>>> campaign = Campaign(RoundRobin(64), shard_size=8)
 >>> result = campaign.run(patterns)
 >>> len(result), bool(result.solved.all())
 (32, True)
@@ -43,7 +43,6 @@ Example
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -84,31 +83,21 @@ class Campaign:
         scan starts shorter because expected randomized latencies are
         logarithmic).
     shard_size:
-        Number of patterns per shard.  Sharding only affects scheduling —
-        results are identical for every shard size.
-    workers:
-        Worker threads resolving shards concurrently; ``0`` or ``1`` runs the
-        shards serially in the calling thread.  The batch engine spends its
-        time in NumPy kernels that release the GIL, so threads scale without
-        requiring picklable protocols.
+        Number of patterns per shard (bounds the engine's working set).
+        Sharding only affects scheduling — results are identical for every
+        shard size.  Shards run serially; parallelism lives one level up, in
+        worker processes over whole configs (:mod:`repro.sweeps`).
     seed:
         Base seed for randomized policies; each pattern's generator is derived
         from it via ``SeedSequence.spawn`` before sharding.  Ignored for
         deterministic protocols.
-    backend:
-        Array backend forwarded to the engines — a name, an
-        :class:`~repro.engine.backend.ArrayBackend` instance, or ``None`` to
-        follow ``REPRO_BACKEND``.  Execution metadata only: outcomes are
-        bit-for-bit identical on every backend.
     """
 
     protocol: object
     max_slots: int = DEFAULT_MAX_SLOTS
     chunk: Optional[int] = None
     shard_size: int = 256
-    workers: int = 0
     seed: RngLike = None
-    backend: object = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.protocol, (DeterministicProtocol, RandomizedPolicy)):
@@ -118,14 +107,6 @@ class Campaign:
             )
         if self.shard_size < 1:
             raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.backend is not None:
-            # Fail fast on unknown/unavailable backends instead of at the
-            # first shard; resolution is a cached singleton lookup.
-            from repro.engine.backend import get_backend
-
-            get_backend(self.backend)
 
     @classmethod
     def for_scenario_b(
@@ -160,7 +141,7 @@ class Campaign:
             return BatchResult.empty(self.protocol)
         if isinstance(self.protocol, RandomizedPolicy):
             # One child generator per pattern, derived before sharding so the
-            # stream assignment is independent of shard_size and workers.
+            # stream assignment is independent of shard_size.
             generators: List[Optional[np.random.Generator]] = list(
                 spawn_generators(self.seed, len(patterns), "campaign")
             )
@@ -170,14 +151,8 @@ class Campaign:
             (patterns[i : i + self.shard_size], generators[i : i + self.shard_size])
             for i in range(0, len(patterns), self.shard_size)
         ]
-        with obs.span(
-            "campaign.run", shards=len(jobs), patterns=len(patterns)
-        ):
-            if self.workers > 1 and len(jobs) > 1:
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    results = list(pool.map(self._run_shard, jobs))
-            else:
-                results = [self._run_shard(job) for job in jobs]
+        with obs.span("campaign.run", shards=len(jobs), patterns=len(patterns)):
+            results = [self._run_shard(job) for job in jobs]
         obs.add("campaign.shards", len(jobs))
         obs.add("campaign.patterns", len(patterns))
         return BatchResult.concat(results)
@@ -188,8 +163,6 @@ class Campaign:
         options = {"max_slots": self.max_slots}
         if self.chunk is not None:
             options["chunk"] = self.chunk
-        if self.backend is not None:
-            options["backend"] = self.backend
         if isinstance(self.protocol, RandomizedPolicy):
             return run_randomized_batch(self.protocol, shard, rngs=rngs, **options)
         return run_deterministic_batch(self.protocol, shard, **options)

@@ -26,8 +26,6 @@ __all__ = [
     "measure_latency",
     "worst_latency",
     "mean_latency",
-    "LatencyJob",
-    "sweep_latencies",
 ]
 
 
@@ -175,43 +173,3 @@ def mean_latency(
 ) -> float:
     """Mean latency over a batch of patterns (used for randomized protocols)."""
     return float(np.mean(measure_latency(protocol, patterns, max_slots=max_slots, rng=rng)))
-
-
-# ---------------------------------------------------------------------------
-# Process-parallel config sweeps
-# ---------------------------------------------------------------------------
-
-#: One sweep measurement: ``(protocol, patterns, max_slots, capped)``.
-#: ``capped=False`` measures the strict worst latency (unsolved rows raise),
-#: ``capped=True`` the max of horizon-capped latencies (unsolved rows count
-#: as ``max_slots``) — the two conventions the experiment tables use.
-LatencyJob = tuple
-
-
-def _latency_job(job: LatencyJob) -> int:
-    """Resolve one sweep measurement (top-level so it pickles into workers)."""
-    protocol, patterns, max_slots, capped = job
-    if not isinstance(protocol, DeterministicProtocol):
-        raise TypeError(
-            "sweep_latencies handles deterministic protocols only (randomized "
-            f"policies would draw fresh entropy per worker), got {type(protocol).__name__}"
-        )
-    if capped:
-        return max(capped_latencies(protocol, patterns, max_slots=max_slots))
-    return worst_latency(protocol, patterns, max_slots=max_slots)
-
-
-def sweep_latencies(jobs: Sequence[LatencyJob], *, workers: int = 0) -> List[int]:
-    """Resolve a batch of per-config latency measurements, process-parallel.
-
-    The experiment registry's multi-config sweeps (E3/E5/E10/E11) collect one
-    :data:`LatencyJob` per table cell — patterns drawn up front in the
-    experiment's original generator order — and shard the *resolution* across
-    ``workers`` processes via :func:`repro.sweeps.runner.map_jobs`.  Because
-    each job is a pure function of its (deterministic) protocol and patterns,
-    the results are bit-for-bit identical to resolving the jobs serially, for
-    any worker count.
-    """
-    from repro.sweeps.runner import map_jobs
-
-    return [int(latency) for latency in map_jobs(_latency_job, jobs, workers=workers)]

@@ -1,10 +1,12 @@
 """Trace summarization: turn a JSONL trace into human-readable analytics.
 
 ``repro obs report TRACE.jsonl`` is the read side of the tracing layer: it
-aggregates span events by name (count, cumulative and max duration, share of
-the run), surfaces the counter and gauge totals from the ``manifest`` event
-(falling back to summing per-job events for a truncated trace), and derives
-throughput figures such as configs/sec for sweep runs.
+ranks spans by name (count, cumulative and max duration, share of the run),
+surfaces the counter and gauge totals, and derives throughput figures such
+as configs/sec for sweep runs.  Spans, counters and gauges come from the
+``manifest`` event, whose aggregates include the spans that ran in worker
+processes; a truncated trace without one falls back to its own span events
+and to summing its per-job events.
 """
 
 from __future__ import annotations
@@ -53,10 +55,13 @@ def summarize_trace(path: Union[str, Path]) -> TraceSummary:
 
     Unparseable lines are tolerated (a crashed run can leave a torn final
     line); a trace without a ``manifest`` event is summarized from its span
-    and job events alone and marked ``truncated``.
+    and job events alone and marked ``truncated``.  Span events are written
+    by the tracing process only, so with a manifest the span table comes from
+    its merged ``timings`` instead, which cover worker processes too.
     """
     path = Path(path)
     summary = TraceSummary(path=str(path))
+    event_spans: Dict[str, Dict[str, float]] = {}
     job_counters: Dict[str, int] = {}
     job_gauges: Dict[str, float] = {}
     saw_manifest = False
@@ -75,7 +80,7 @@ def summarize_trace(path: Union[str, Path]) -> TraceSummary:
             if kind == "begin":
                 summary.argv = list(event.get("argv", []))
             elif kind == "span":
-                entry = summary.spans.setdefault(
+                entry = event_spans.setdefault(
                     event.get("name", "?"),
                     {"count": 0, "total_s": 0.0, "max_s": 0.0},
                 )
@@ -98,12 +103,16 @@ def summarize_trace(path: Union[str, Path]) -> TraceSummary:
                 summary.gauges = {
                     k: float(v) for k, v in event.get("gauges", {}).items()
                 }
+                summary.spans = {
+                    name: dict(v) for name, v in event.get("timings", {}).items()
+                }
                 if not summary.argv:
                     summary.argv = list(event.get("argv", []))
     if not saw_manifest:
         summary.truncated = True
         summary.counters = job_counters
         summary.gauges = job_gauges
+        summary.spans = event_spans
     return summary
 
 

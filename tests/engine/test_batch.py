@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.channel.simulator import WakeupResult, run_deterministic
 from repro.channel.wakeup import WakeupPattern
 from repro.core.randomized import FixedProbabilityPolicy, RepeatedProbabilityDecrease
@@ -52,6 +53,22 @@ class TestRunDeterministicBatch:
             reference = run_deterministic(RoundRobin(16), pattern)
             assert result.success_slot[i] == reference.success_slot
             assert result.latency[i] == reference.latency
+
+    def test_scratch_reuse_gauge_reports_saved_allocations(self):
+        """The scan reuses its per-chunk buffers and reports the bytes saved."""
+        n = 1024
+        # High station ids force round-robin successes far past the first
+        # chunk, so the scan spans many chunks and the scratch buffers are
+        # reused (the gauge only counts chunks after the first).
+        patterns = [
+            WakeupPattern(n, {n - 1 - offset: 0, n - 2 - offset: 0})
+            for offset in range(0, 64, 2)
+        ]
+        with obs.capture() as state:
+            run_deterministic_batch(RoundRobin(n), patterns, chunk=16)
+            snapshot = state.snapshot()
+        assert snapshot["counters"].get("engine.chunks", 0) > 1
+        assert snapshot["gauges"].get("engine.scratch_bytes_reused", 0) > 0
 
 
 class TestRunRandomizedBatch:

@@ -77,6 +77,43 @@ class TestSummarizeTrace:
         assert summary.counters == {"c": 7}
         assert summary.duration_s is None
 
+    def test_parallel_run_ranks_worker_spans(self, tmp_path):
+        # Worker processes write no span events; their spans reach the
+        # report only through the manifest's merged timings.
+        from repro.sweeps import SweepRunner, SweepSpec
+
+        trace = tmp_path / "t.jsonl"
+        obs.enable(trace, argv=["repro", "sweep", "run", "--workers", "2"])
+        spec = SweepSpec(
+            protocols=("scenario-b",), n_values=(128,), k_values=(4, 8), batch=8
+        )
+        SweepRunner(workers=2).run(spec)
+        obs.disable()
+        top = [name for name, *_ in summarize_trace(trace).top_spans()]
+        assert "sweeps.run" in top
+        assert "engine.chunk_scan" in top
+        assert "campaign.run" in top
+
+    def test_manifest_timings_replace_span_events(self, tmp_path):
+        trace = tmp_path / "t.jsonl"
+        timings = {
+            "parent": {"count": 1, "total_s": 1.0, "max_s": 1.0},
+            "worker": {"count": 3, "total_s": 2.5, "max_s": 1.5},
+        }
+        _write_trace(
+            trace,
+            [
+                {"type": "span", "name": "parent", "dur_s": 1.0},
+                {"type": "manifest", "duration_s": 1.0, "timings": timings},
+            ],
+        )
+        summary = summarize_trace(trace)
+        assert not summary.truncated
+        assert summary.top_spans() == [
+            ("worker", 3, 2.5, 1.5),
+            ("parent", 1, 1.0, 1.0),
+        ]
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             summarize_trace(tmp_path / "nope.jsonl")

@@ -206,29 +206,6 @@ class TestWorkloadsCommand:
         assert exit_code == 1
         assert "NOT SOLVED" in out
 
-    def test_run_with_explicit_numpy_backend(self, capsys):
-        exit_code = main(
-            [
-                "workloads", "run", "--workload", "uniform", "--protocol", "round-robin",
-                "--n", "32", "--k", "4", "--batch", "8", "--backend", "numpy",
-            ]
-        )
-        assert exit_code == 0
-        assert "max_latency" in capsys.readouterr().out
-
-    def test_run_unknown_backend_is_usage_error(self, capsys):
-        exit_code = main(
-            [
-                "workloads", "run", "--workload", "uniform", "--protocol", "round-robin",
-                "--n", "32", "--k", "4", "--batch", "8", "--backend", "bogus",
-            ]
-        )
-        assert exit_code == 2
-        err = capsys.readouterr().err
-        assert "unknown array backend" in err
-        for name in ("numpy", "numexpr", "cupy"):
-            assert name in err
-
 
 class TestSweepCommand:
     INLINE = [
@@ -241,15 +218,6 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "round-robin" in out and "scenario-b" in out
         assert "2 configs (0 reused from store)" in out
-
-    def test_run_with_explicit_numpy_backend(self, capsys):
-        assert main(["sweep", "run", *self.INLINE, "--backend", "numpy"]) == 0
-        capsys.readouterr()
-
-    def test_run_unknown_backend_is_usage_error(self, capsys):
-        assert main(["sweep", "run", *self.INLINE, "--backend", "bogus"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown array backend" in err and "numexpr" in err
 
     def test_run_with_store_then_resume(self, capsys, tmp_path):
         store = str(tmp_path / "store")
