@@ -48,6 +48,7 @@ __all__ = [
     "ceil_div",
     "log2_safe",
     "loglog2_safe",
+    "is_integer_id",
     "validate_station_id",
     "validate_station_ids",
     "validate_positive_int",
@@ -195,13 +196,18 @@ def validate_positive_int(value: int, name: str) -> int:
     return value
 
 
+def is_integer_id(value: object) -> bool:
+    """True iff ``value`` has a station-ID type: ``int`` or a NumPy integer, not ``bool``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def validate_station_id(station: int, n: int) -> int:
     """Validate a station ID against the universe ``[1, n]``.
 
     The paper indexes stations ``1..n``; the library follows that convention
     everywhere in the public API (internal arrays are 0-based).
     """
-    if not isinstance(station, (int, np.integer)) or isinstance(station, bool):
+    if not is_integer_id(station):
         raise TypeError(f"station ID must be an integer, got {type(station).__name__}")
     station = int(station)
     if not 1 <= station <= n:

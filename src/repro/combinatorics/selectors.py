@@ -23,12 +23,12 @@ constructions of :mod:`repro.core.selective` are not wanted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 from typing import FrozenSet, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
-from repro._util import ceil_log2, validate_k_n, validate_positive_int
+from repro._util import ceil_log2, is_integer_id, validate_k_n, validate_positive_int
 
 __all__ = [
     "SetFamily",
@@ -39,16 +39,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+def _int_array(values, name: str) -> np.ndarray:
+    """Copy ``values`` into a fresh int64 array, refusing non-integer dtypes.
+
+    ``bool`` arrays are refused as well (their dtype kind is ``"b"``); an
+    empty input of any dtype is accepted since it holds no value to coerce.
+    """
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise TypeError(f"{name} must hold integers, got dtype {arr.dtype}")
+    return np.array(arr, dtype=np.int64)
+
+
 class SetFamily:
     """An ordered family of subsets of the station universe ``[1, n]``.
+
+    Stored in compressed-sparse-row form: set ``j`` is
+    ``stations[indptr[j]:indptr[j + 1]]``, 1-based and strictly ascending.
+    Both arrays are read-only, and every construction — the public
+    ``SetFamily(n, sets, label)``, :meth:`from_csr` and :meth:`concatenate` —
+    ends in the same vectorised validation.
 
     Parameters
     ----------
     n:
         Size of the universe; station IDs are ``1..n``.
     sets:
-        The ordered transmission sets.  Stored as ``frozenset`` for immutability.
+        The ordered transmission sets, as iterables of integer station IDs
+        (``int`` or NumPy integers; ``bool``, floats and strings are refused).
     label:
         Optional human-readable description (e.g. ``"(1024, 8)-selective"``).
 
@@ -57,26 +75,90 @@ class SetFamily:
     The family doubles as a transmission schedule fragment: station ``u``
     transmits in local slot ``j`` (0-based) iff ``u in sets[j]``.
     :class:`repro.core.schedules.FamilySchedule` wraps a family into a full
-    :class:`~repro.core.schedules.TransmissionSchedule`.
+    :class:`~repro.core.schedules.TransmissionSchedule`.  :attr:`sets` is a
+    lazily built tuple of frozensets kept for the scalar reference paths
+    (verification, the greedy construction, per-slot ``transmits``).
+    Equality and hashing are by value, so families can sit inside frozen
+    dataclasses such as :class:`~repro.core.selective.SelectiveFamily`.
     """
 
-    n: int
-    sets: Tuple[FrozenSet[int], ...]
-    label: str = ""
+    __slots__ = ("n", "indptr", "stations", "label", "_sets")
 
-    def __post_init__(self) -> None:
-        validate_positive_int(self.n, "n")
-        frozen = tuple(frozenset(int(x) for x in s) for s in self.sets)
-        for idx, s in enumerate(frozen):
-            for station in s:
-                if not 1 <= station <= self.n:
-                    raise ValueError(
-                        f"set #{idx} contains station {station} outside [1, {self.n}]"
+    n: int
+    indptr: np.ndarray
+    stations: np.ndarray
+    label: str
+
+    def __init__(self, n: int, sets: Iterable[Iterable[int]], label: str = "") -> None:
+        rows = [frozenset(s) for s in sets]
+        for idx, row in enumerate(rows):
+            for station in row:
+                if not is_integer_id(station):
+                    raise TypeError(
+                        f"set #{idx} contains {station!r} of type {type(station).__name__}; "
+                        "station IDs must be integers"
                     )
-        object.__setattr__(self, "sets", frozen)
+        indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+        stations = np.fromiter(
+            chain.from_iterable(sorted(row) for row in rows), dtype=np.int64, count=int(indptr[-1])
+        )
+        self._init(n, indptr, stations, label)
+
+    @classmethod
+    def from_csr(cls, n: int, indptr, stations, label: str = "") -> "SetFamily":
+        """Build a family from its CSR arrays (copied; integer dtypes only)."""
+        family = cls.__new__(cls)
+        family._init(n, _int_array(indptr, "indptr"), _int_array(stations, "stations"), label)
+        return family
+
+    def _init(self, n: int, indptr: np.ndarray, stations: np.ndarray, label: str) -> None:
+        n = validate_positive_int(n, "n")
+        _validate_csr(n, indptr, stations)
+        indptr.setflags(write=False)
+        stations.setflags(write=False)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "stations", stations)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_sets", None)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"SetFamily is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"SetFamily is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (SetFamily.from_csr, (self.n, self.indptr, self.stations, self.label))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SetFamily):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.label == other.label
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.stations, other.stations)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.label, self.indptr.tobytes(), self.stations.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"SetFamily(n={self.n}, length={self.length}, label={self.label!r})"
+
+    @property
+    def sets(self) -> Tuple[FrozenSet[int], ...]:
+        """The transmission sets as a tuple of frozensets (built once, on first use)."""
+        if self._sets is None:
+            flat = self.stations.tolist()
+            ptr = self.indptr.tolist()
+            sets = tuple(frozenset(flat[a:b]) for a, b in zip(ptr, ptr[1:]))
+            object.__setattr__(self, "_sets", sets)
+        return self._sets
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return self.indptr.size - 1
 
     def __iter__(self) -> Iterator[FrozenSet[int]]:
         return iter(self.sets)
@@ -87,11 +169,15 @@ class SetFamily:
     @property
     def length(self) -> int:
         """Number of transmission sets (= number of time slots consumed)."""
-        return len(self.sets)
+        return self.indptr.size - 1
 
     def contains(self, station: int, index: int) -> bool:
         """Return True iff ``station`` transmits in local slot ``index``."""
         return station in self.sets[index]
+
+    def row_of(self) -> np.ndarray:
+        """Set index of every entry of :attr:`stations` (aligned with it)."""
+        return np.repeat(np.arange(self.length, dtype=np.int64), np.diff(self.indptr))
 
     def membership_matrix(self) -> np.ndarray:
         """Return a boolean matrix ``B`` with ``B[j, u-1] = (u in sets[j])``.
@@ -100,10 +186,8 @@ class SetFamily:
         transmitter count over an awake-set bitmask is a single matrix-vector
         product.
         """
-        mat = np.zeros((len(self.sets), self.n), dtype=bool)
-        for j, s in enumerate(self.sets):
-            if s:
-                mat[j, np.fromiter((u - 1 for u in s), dtype=np.int64)] = True
+        mat = np.zeros((self.length, self.n), dtype=bool)
+        mat[self.row_of(), self.stations - 1] = True
         return mat
 
     def concatenate(self, other: "SetFamily") -> "SetFamily":
@@ -112,9 +196,10 @@ class SetFamily:
             raise ValueError(
                 f"cannot concatenate families over different universes ({self.n} vs {other.n})"
             )
-        return SetFamily(
+        return SetFamily.from_csr(
             self.n,
-            self.sets + other.sets,
+            np.concatenate([self.indptr, other.indptr[1:] + self.indptr[-1]]),
+            np.concatenate([self.stations, other.stations]),
             label=f"{self.label}+{other.label}" if self.label or other.label else "",
         )
 
@@ -129,11 +214,52 @@ class SetFamily:
 
     def max_set_size(self) -> int:
         """Size of the largest transmission set (0 for an empty family)."""
-        return max((len(s) for s in self.sets), default=0)
+        return int(np.diff(self.indptr).max(initial=0))
 
     def total_membership(self) -> int:
         """Sum of set sizes — total number of (station, slot) transmit grants."""
-        return sum(len(s) for s in self.sets)
+        return int(self.stations.size)
+
+
+def _validate_csr(n: int, indptr: np.ndarray, stations: np.ndarray) -> None:
+    """Check the CSR invariants of a :class:`SetFamily`, raising ``ValueError``.
+
+    ``indptr`` is 1-D, starts at 0, is non-decreasing and ends at
+    ``stations.size``; every station lies in ``[1, n]``; and each set's
+    stations are strictly ascending (sorted, no duplicates).
+    """
+    if indptr.ndim != 1 or stations.ndim != 1:
+        raise ValueError("indptr and stations must be 1-D arrays")
+    if indptr.size == 0 or indptr[0] != 0:
+        raise ValueError("indptr must start at 0")
+    if indptr[-1] != stations.size:
+        raise ValueError(
+            f"indptr must end at stations.size ({stations.size}), got {int(indptr[-1])}"
+        )
+    if np.any(indptr[1:] < indptr[:-1]):
+        raise ValueError("indptr must be non-decreasing")
+    if stations.size == 0:
+        return
+
+    def set_of(position: int) -> int:
+        return int(np.searchsorted(indptr, position, side="right")) - 1
+
+    outside = (stations < 1) | (stations > n)
+    if outside.any():
+        pos = int(np.argmax(outside))
+        raise ValueError(
+            f"set #{set_of(pos)} contains station {int(stations[pos])} outside [1, {n}]"
+        )
+    # Consecutive entries must rise, except across a set boundary.
+    rises = stations[1:] > stations[:-1]
+    starts = indptr[1:-1]
+    rises[starts[(starts > 0) & (starts < stations.size)] - 1] = True
+    if not rises.all():
+        pos = int(np.argmin(rises)) + 1
+        raise ValueError(
+            f"set #{set_of(pos)} is not strictly ascending at station {int(stations[pos])} "
+            "(duplicate or unsorted)"
+        )
 
 
 def singleton_family(n: int) -> SetFamily:
@@ -144,7 +270,9 @@ def singleton_family(n: int) -> SetFamily:
     selective-family arm in Scenarios A and B.
     """
     n = validate_positive_int(n, "n")
-    return SetFamily(n, tuple(frozenset({u}) for u in range(1, n + 1)), label=f"round-robin({n})")
+    return SetFamily.from_csr(
+        n, np.arange(n + 1), np.arange(1, n + 1), label=f"round-robin({n})"
+    )
 
 
 def binary_selector(n: int) -> SetFamily:
@@ -157,15 +285,15 @@ def binary_selector(n: int) -> SetFamily:
     """
     n = validate_positive_int(n, "n")
     if n == 1:
-        return SetFamily(1, (frozenset({1}),), label="binary-selector(1)")
-    bits = ceil_log2(n)
-    sets: List[FrozenSet[int]] = []
-    for b in range(bits):
-        ones = frozenset(u for u in range(1, n + 1) if (u >> b) & 1)
-        zeros = frozenset(u for u in range(1, n + 1) if not (u >> b) & 1)
-        sets.append(ones)
-        sets.append(zeros)
-    return SetFamily(n, tuple(sets), label=f"binary-selector({n})")
+        return SetFamily.from_csr(1, [0, 1], [1], label="binary-selector(1)")
+    ids = np.arange(1, n + 1, dtype=np.int64)
+    rows: List[np.ndarray] = []
+    for b in range(ceil_log2(n)):
+        bit = ((ids >> b) & 1).astype(bool)
+        rows.append(ids[bit])
+        rows.append(ids[~bit])
+    indptr = np.cumsum([0] + [row.size for row in rows])
+    return SetFamily.from_csr(n, indptr, np.concatenate(rows), label=f"binary-selector({n})")
 
 
 def power_of_two_blocks(n: int) -> List[Tuple[int, int]]:
@@ -213,4 +341,6 @@ def strongly_selective_family(n: int, k: int) -> SetFamily:
         return singleton_family(n)
     code = kautz_singleton_code(n=n, k=k)
     family = code_to_set_family(code)
-    return SetFamily(n, family.sets, label=f"kautz-singleton({n},{k})")
+    return SetFamily.from_csr(
+        n, family.indptr, family.stations, label=f"kautz-singleton({n},{k})"
+    )

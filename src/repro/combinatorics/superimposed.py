@@ -148,10 +148,11 @@ def code_to_set_family(code: SuperimposedCode):
     """
     from repro.combinatorics.selectors import SetFamily
 
-    sets = []
-    for t in range(code.length):
-        members = np.flatnonzero(code.matrix[:, t])
-        if members.size == 0:
-            continue
-        sets.append(frozenset(int(u) + 1 for u in members))
-    return SetFamily(code.n, tuple(sets), label=f"superimposed({code.n},{code.strength})")
+    # Column-major scan: nonzero over the transposed matrix lists each
+    # column's stations in ascending order, column after column.
+    columns, members = np.nonzero(code.matrix.T)
+    sizes = np.bincount(columns, minlength=code.length)
+    indptr = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
+    return SetFamily.from_csr(
+        code.n, indptr, members + 1, label=f"superimposed({code.n},{code.strength})"
+    )

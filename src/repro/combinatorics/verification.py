@@ -18,11 +18,11 @@ loops), by the test suite, and by experiment E8:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro._util import RngLike, as_generator, validate_k_n
+from repro._util import RngLike, as_generator, validate_k_n, validate_station_id
 from repro.combinatorics.selectors import SetFamily
 
 __all__ = [
@@ -42,9 +42,18 @@ def hits_exactly_one(family: SetFamily, contenders: Iterable[int]) -> Optional[i
     Returns ``None`` when no such set exists.  This is the basic "isolation"
     event: the slot at which exactly one awake station transmits.
     """
-    contender_set = frozenset(int(x) for x in contenders)
-    for idx, s in enumerate(family.sets):
-        if len(s & contender_set) == 1:
+    return _first_isolating(family.sets, _contender_set(family, contenders))
+
+
+def _contender_set(family: SetFamily, contenders: Iterable[int]) -> FrozenSet[int]:
+    """Validate contender IDs against the family's universe (same rule as set members)."""
+    return frozenset(validate_station_id(x, family.n) for x in contenders)
+
+
+def _first_isolating(sets: Sequence[FrozenSet[int]], contenders: FrozenSet[int]) -> Optional[int]:
+    """Index of the first set meeting ``contenders`` in exactly one station, else ``None``."""
+    for idx, s in enumerate(sets):
+        if len(s & contenders) == 1:
             return idx
     return None
 
@@ -88,9 +97,10 @@ def selectivity_violations(
     lo = max(1, k // 2) if min_size is None else max(1, min_size)
     violations: List[Tuple[int, ...]] = []
     universe = range(1, n + 1)
+    sets = family.sets
     for size in range(lo, k + 1):
         for subset in combinations(universe, size):
-            if not is_selective_for(family, subset):
+            if _first_isolating(sets, frozenset(subset)) is None:
                 violations.append(subset)
                 if max_sets is not None and len(violations) >= max_sets:
                     return violations
@@ -128,12 +138,13 @@ def monte_carlo_selectivity(
     if lo > k:
         raise ValueError(f"min_size {lo} exceeds k {k}")
     gen = as_generator(rng)
+    sets = family.sets
     successes = 0
     for _ in range(trials):
         size = int(gen.integers(lo, k + 1))
         size = min(size, n)
         contenders = gen.choice(n, size=size, replace=False) + 1
-        if is_selective_for(family, contenders.tolist()):
+        if _first_isolating(sets, frozenset(contenders.tolist())) is not None:
             successes += 1
     return successes / trials
 
@@ -145,7 +156,7 @@ def is_strongly_selective_for(family: SetFamily, contenders: Iterable[int]) -> b
     exists a set ``F`` with ``X ∩ F = {x}``.  Explicit superimposed-code
     constructions guarantee this for all ``|X| <= k + 1``.
     """
-    contender_set = frozenset(int(x) for x in contenders)
+    contender_set = _contender_set(family, contenders)
     isolated: Set[int] = set()
     for s in family.sets:
         inter = s & contender_set

@@ -40,7 +40,7 @@ from repro._util import RngLike, validate_k_n, validate_positive_int
 from repro.channel.protocols import DeterministicProtocol
 from repro.combinatorics.selectors import SetFamily
 from repro.core.round_robin import RoundRobin
-from repro.core.schedules import InterleavedProtocol
+from repro.core.schedules import InterleavedProtocol, station_offsets
 from repro.core.selective import SelectiveFamily, concatenated_families
 from repro.core.waking_matrix import (
     HashedTransmissionMatrix,
@@ -102,12 +102,7 @@ class LocalClockWakeup(DeterministicProtocol):
             combined = combined.concatenate(fam.family)
         self._combined: SetFamily = combined
         self.cyclic = bool(cyclic)
-        self._station_offsets = {
-            u: np.asarray(
-                [i for i, s in enumerate(combined.sets) if u in s], dtype=np.int64
-            )
-            for u in range(1, n + 1)
-        }
+        self._offsets = station_offsets(combined)
 
     @property
     def period(self) -> int:
@@ -123,8 +118,8 @@ class LocalClockWakeup(DeterministicProtocol):
         return self._combined.contains(station, local % self.period)
 
     def transmit_slots(self, station: int, wake_time: int, start: int, stop: int) -> np.ndarray:
-        offsets = self._station_offsets.get(station)
-        if offsets is None or offsets.size == 0:
+        offsets = self._offsets.of(station)
+        if offsets.size == 0:
             return np.empty(0, dtype=np.int64)
         lo = max(int(start), int(wake_time))
         hi = int(stop)

@@ -23,7 +23,7 @@ transmits before it is awake".
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +33,8 @@ from repro.combinatorics.selectors import SetFamily
 
 __all__ = [
     "virtual_wake_time",
+    "StationOffsets",
+    "station_offsets",
     "FamilySchedule",
     "CyclicFamilySchedule",
     "InterleavedProtocol",
@@ -74,26 +76,42 @@ class SilentProtocol(DeterministicProtocol):
         return empty, empty
 
 
-def _build_offset_csr(offsets: dict, n: int, stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten per-station offset arrays into sorted form for batched lookups.
+class StationOffsets(NamedTuple):
+    """Per-station slot offsets of a family: the CSR transpose of its sets.
 
-    Returns ``(flat, keys)``: ``flat`` concatenates every station's ascending
-    offsets in station order, and ``keys[i] = station_of(i) * stride +
-    flat[i]`` is globally ascending when ``stride`` exceeds every offset, so a
-    single :func:`numpy.searchsorted` against ``keys`` answers "how many
-    offsets of station ``u`` lie in ``[a, b)``" for many stations at once —
-    the backbone of the batch queries below.
+    ``flat[ptr[u]:ptr[u + 1]]`` lists, ascending, the indices of the sets
+    containing station ``u`` (``ptr`` has ``n + 2`` entries, so station 0 and
+    every station in no set get an empty range).  ``keys[i] =
+    station_of(i) * length + flat[i]`` is globally ascending, so a single
+    :func:`numpy.searchsorted` against ``keys`` answers "how many offsets of
+    station ``u`` lie in ``[a, b)``" for many stations at once — the backbone
+    of the batch queries below.
     """
-    ptr = np.zeros(n + 1, dtype=np.int64)
-    for u, idxs in offsets.items():
-        ptr[u] = len(idxs)
-    np.cumsum(ptr, out=ptr)
-    flat = np.empty(int(ptr[-1]), dtype=np.int64)
-    for u, idxs in offsets.items():
-        flat[ptr[u] - len(idxs) : ptr[u]] = idxs
-    station_of = np.repeat(np.arange(n + 1, dtype=np.int64), np.diff(ptr, prepend=0))
-    keys = station_of * int(stride) + flat
-    return flat, keys
+
+    ptr: np.ndarray
+    flat: np.ndarray
+    keys: np.ndarray
+
+    def of(self, station: int) -> np.ndarray:
+        """Ascending set indices containing ``station``."""
+        return self.flat[self.ptr[station] : self.ptr[station + 1]]
+
+
+def station_offsets(family: SetFamily) -> StationOffsets:
+    """Transpose ``family`` to per-station offsets with one stable argsort.
+
+    Entries of ``family.stations`` are listed set by set, so a stable sort by
+    station keeps each station's set indices in ascending order.  Station IDs
+    below ``2**16`` are sorted as ``uint16``, for which NumPy's stable sort
+    is a radix sort (about 4x faster than on int64).
+    """
+    sort_key = family.stations.astype(np.uint16) if family.n < 2**16 else family.stations
+    order = np.argsort(sort_key, kind="stable")
+    stations = family.stations[order]
+    flat = family.row_of()[order]
+    ptr = np.zeros(family.n + 2, dtype=np.int64)
+    np.cumsum(np.bincount(stations, minlength=family.n + 1), out=ptr[1:])
+    return StationOffsets(ptr, flat, stations * family.length + flat)
 
 
 class FamilySchedule(DeterministicProtocol):
@@ -120,22 +138,7 @@ class FamilySchedule(DeterministicProtocol):
             raise ValueError(f"origin must be >= 0, got {origin}")
         self.family = family
         self.origin = int(origin)
-        # Precompute per-station slot offsets for the vectorized path.
-        self._station_offsets = self._build_offsets(family)
-        self._csr_flat, self._csr_keys = _build_offset_csr(
-            self._station_offsets, family.n, family.length
-        )
-
-    @staticmethod
-    def _build_offsets(family: SetFamily) -> dict:
-        offsets: dict[int, np.ndarray] = {}
-        buckets: dict[int, List[int]] = {}
-        for idx, s in enumerate(family.sets):
-            for u in s:
-                buckets.setdefault(u, []).append(idx)
-        for u, idxs in buckets.items():
-            offsets[u] = np.asarray(idxs, dtype=np.int64)
-        return offsets
+        self._offsets = station_offsets(family)
 
     def transmits(self, station: int, wake_time: int, slot: int) -> bool:
         if slot < wake_time or slot < self.origin:
@@ -146,10 +149,7 @@ class FamilySchedule(DeterministicProtocol):
         return self.family.contains(station, index)
 
     def transmit_slots(self, station: int, wake_time: int, start: int, stop: int) -> np.ndarray:
-        offsets = self._station_offsets.get(station)
-        if offsets is None:
-            return np.empty(0, dtype=np.int64)
-        slots = offsets + self.origin
+        slots = self._offsets.of(station) + self.origin
         lo = max(int(start), int(wake_time), self.origin)
         mask = (slots >= lo) & (slots < int(stop))
         return slots[mask]
@@ -167,12 +167,13 @@ class FamilySchedule(DeterministicProtocol):
         # Two searchsorted calls against the composed keys count, per pair,
         # the offsets of its station falling inside its window — exact output
         # size, no over-enumeration.
-        left = np.searchsorted(self._csr_keys, stations * L + lo_rel, side="left")
-        right = np.searchsorted(self._csr_keys, stations * L + hi_rel, side="left")
+        keys = self._offsets.keys
+        left = np.searchsorted(keys, stations * L + lo_rel, side="left")
+        right = np.searchsorted(keys, stations * L + hi_rel, side="left")
         counts = right - left
         pair_index = np.repeat(np.arange(len(stations), dtype=np.int64), counts)
         flat_pos = np.repeat(left, counts) + ragged_arange(counts)
-        return pair_index, self._csr_flat[flat_pos] + self.origin
+        return pair_index, self._offsets.flat[flat_pos] + self.origin
 
     def describe(self) -> str:
         return f"{self.name}({self.family.label or 'family'}, origin={self.origin})"
@@ -193,10 +194,7 @@ class CyclicFamilySchedule(DeterministicProtocol):
         if family.length == 0:
             raise ValueError("cannot build a cyclic schedule from an empty family")
         self.family = family
-        self._station_offsets = FamilySchedule._build_offsets(family)
-        self._csr_flat, self._csr_keys = _build_offset_csr(
-            self._station_offsets, family.n, family.length
-        )
+        self._offsets = station_offsets(family)
 
     def transmits(self, station: int, wake_time: int, slot: int) -> bool:
         if slot < wake_time:
@@ -204,9 +202,7 @@ class CyclicFamilySchedule(DeterministicProtocol):
         return self.family.contains(station, slot % self.family.length)
 
     def transmit_slots(self, station: int, wake_time: int, start: int, stop: int) -> np.ndarray:
-        offsets = self._station_offsets.get(station)
-        if offsets is None:
-            return np.empty(0, dtype=np.int64)
+        offsets = self._offsets.of(station)
         lo = max(int(start), int(wake_time))
         hi = int(stop)
         if hi <= lo:
@@ -239,12 +235,13 @@ class CyclicFamilySchedule(DeterministicProtocol):
         cycle_lo = np.maximum(lo[cyc_pair] - base, 0)
         cycle_hi = np.minimum(hi - base, z)
         st = stations[cyc_pair]
-        left = np.searchsorted(self._csr_keys, st * z + cycle_lo, side="left")
-        right = np.searchsorted(self._csr_keys, st * z + cycle_hi, side="left")
+        keys = self._offsets.keys
+        left = np.searchsorted(keys, st * z + cycle_lo, side="left")
+        right = np.searchsorted(keys, st * z + cycle_hi, side="left")
         counts = right - left
         pair_index = np.repeat(cyc_pair, counts)
         flat_pos = np.repeat(left, counts) + ragged_arange(counts)
-        return pair_index, np.repeat(base, counts) + self._csr_flat[flat_pos]
+        return pair_index, np.repeat(base, counts) + self._offsets.flat[flat_pos]
 
     def describe(self) -> str:
         return f"{self.name}({self.family.label or 'family'}, period={self.family.length})"

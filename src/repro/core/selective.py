@@ -216,12 +216,14 @@ def random_selective_family(
     for attempt in range(max_attempts):
         seed = int(gen.integers(0, 2**63 - 1))
         draw = np.random.default_rng(seed)
-        sets: List[frozenset] = []
         # Draw row by row to keep memory proportional to the family, not L*n.
-        for _ in range(length):
-            members = np.flatnonzero(draw.random(n) < probability)
-            sets.append(frozenset(int(u) + 1 for u in members))
-        family = SetFamily(n, tuple(sets), label=f"random-selective({n},{k})")
+        rows = [np.flatnonzero(draw.random(n) < probability) for _ in range(length)]
+        family = SetFamily.from_csr(
+            n,
+            np.cumsum([0] + [row.size for row in rows]),
+            np.concatenate(rows) + 1,
+            label=f"random-selective({n},{k})",
+        )
         if _verify(family, k, verification, draw):
             return SelectiveFamily(
                 n=n, k=k, family=family, method="random", seed=seed, verified=verification

@@ -25,6 +25,53 @@ class TestSetFamily:
         with pytest.raises(ValueError):
             SetFamily(4, (frozenset({0}),))
 
+    @pytest.mark.parametrize(
+        "members",
+        [{2.7}, {2.0}, {"2"}, {True, 3}, {False}, {np.float64(3.0)}, {None}],
+        ids=["float", "integral-float", "str", "bool-with-int", "bool", "np-float", "none"],
+    )
+    def test_rejects_non_integer_station(self, members):
+        with pytest.raises(TypeError):
+            SetFamily(4, (frozenset({1}), frozenset(members)))
+
+    def test_accepts_numpy_integer_stations(self):
+        fam = SetFamily(4, (frozenset({np.int64(2), np.uint8(3)}), {np.int32(1)}))
+        assert fam.sets == (frozenset({2, 3}), frozenset({1}))
+
+    @pytest.mark.parametrize(
+        "stations",
+        [np.array([1.0, 2.0]), np.array(["1", "2"]), np.array([True, False])],
+        ids=["float", "str", "bool"],
+    )
+    def test_from_csr_rejects_non_integer_dtype(self, stations):
+        with pytest.raises(TypeError):
+            SetFamily.from_csr(4, [0, 2], stations)
+
+    def test_from_csr_rejects_float_indptr(self):
+        with pytest.raises(TypeError):
+            SetFamily.from_csr(4, np.array([0.0, 2.0]), [1, 2])
+
+    def test_is_immutable_and_read_only(self):
+        fam = SetFamily(4, (frozenset({1, 2}),))
+        with pytest.raises(AttributeError):
+            fam.n = 5
+        with pytest.raises(ValueError):
+            fam.stations[0] = 3
+
+    def test_equality_and_hash_by_value(self):
+        a = SetFamily(4, (frozenset({1, 2}), frozenset()), label="x")
+        b = SetFamily.from_csr(4, [0, 2, 2], [1, 2], label="x")
+        assert a == b and hash(a) == hash(b)
+        assert a != SetFamily.from_csr(4, [0, 2, 2], [1, 2], label="y")
+        assert a != SetFamily.from_csr(4, [0, 1, 2], [1, 2], label="x")
+
+    def test_pickle_round_trip(self):
+        import pickle
+
+        fam = SetFamily(5, (frozenset({1, 5}), frozenset({3})), label="p")
+        clone = pickle.loads(pickle.dumps(fam))
+        assert clone == fam and clone.sets == fam.sets
+
     def test_length_and_indexing(self):
         fam = SetFamily(4, (frozenset({1}), frozenset({2, 3})))
         assert len(fam) == 2
