@@ -88,7 +88,7 @@ from repro.engine import (
     run_randomized_batch,
 )
 from repro.experiments import (
-    EXPERIMENTS,
+    DEFINITIONS,
     QUICK,
     STANDARD,
     FULL,
@@ -186,7 +186,7 @@ __all__ = [
     "load_entry_point_workloads",
     "register_workload",
     # experiments
-    "EXPERIMENTS",
+    "DEFINITIONS",
     "QUICK",
     "STANDARD",
     "FULL",

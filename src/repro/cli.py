@@ -12,8 +12,9 @@ Eleven subcommands cover the workflows a user needs without writing Python:
 
 ``experiment``
     Run one experiment from the E1–E11 registry (see
-    :data:`repro.experiments.registry.EXPERIMENTS`) at a chosen scale and
-    print its summary (tables, figures and certificates).
+    :data:`repro.experiments.registry.DEFINITIONS`; IDs are case-insensitive)
+    at a chosen scale and print its summary (tables, figures and
+    certificates).
 
 ``paper``
     One-command paper campaign (:mod:`repro.experiments.campaign`): ``run``
@@ -140,7 +141,7 @@ from repro.experiments.campaign import (
     render_campaign_report,
 )
 from repro.experiments.config import FULL, QUICK, STANDARD
-from repro.experiments.registry import EXPERIMENTS, run_experiment
+from repro.experiments.registry import get_definition, run_experiment
 from repro.reporting.figures import render_trace
 from repro.reporting.tables import TextTable
 from repro.adversary.strategies import strategy_names
@@ -151,6 +152,14 @@ from repro.workloads import WorkloadSuite
 __all__ = ["main", "build_parser"]
 
 _SCALES = {"quick": QUICK, "standard": STANDARD, "full": FULL}
+
+
+def _experiment_id(value: str) -> str:
+    """argparse type: a registry experiment ID, case-insensitively (``e1`` is E1)."""
+    try:
+        return get_definition(value).experiment
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(exc.args[0]) from None
 
 
 def _protocol_factory(name: str):
@@ -218,7 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     exp = subparsers.add_parser("experiment", help="run one experiment from the registry")
-    exp.add_argument("experiment_id", choices=sorted(EXPERIMENTS), metavar="EXPERIMENT")
+    exp.add_argument(
+        "experiment_id",
+        type=_experiment_id,
+        metavar="EXPERIMENT",
+        help="experiment ID, E1-E11 (case-insensitive)",
+    )
     exp.add_argument("--scale", choices=sorted(_SCALES), default="quick")
 
     paper = subparsers.add_parser(

@@ -2,11 +2,12 @@
 
 The experiment index in ``DESIGN.md`` maps every claim of the paper to an
 experiment; this package contains the code that runs them.  Each experiment is
-an :class:`~repro.experiments.campaign.ExperimentDefinition` — a ``plan``
-function stating its measurement demand as content-hashable specs, plus a pure
-``render`` over the resolved records — and the historical per-experiment
-callables wrap the definitions, taking an
-:class:`~repro.experiments.config.ExperimentScale` and returning an
+an :class:`~repro.experiments.campaign.ExperimentDefinition` in
+:data:`~repro.experiments.registry.DEFINITIONS` — a ``plan`` function stating
+its measurement demand as content-hashable specs, plus a pure ``render`` over
+the resolved records.  :func:`~repro.experiments.registry.run_experiment` runs
+one of them by ID at an
+:class:`~repro.experiments.config.ExperimentScale` and returns an
 :class:`~repro.experiments.runner.ExperimentResult` with raw rows, rendered
 tables/figures, and bound certificates.
 :class:`~repro.experiments.campaign.PaperCampaign` runs all of E1–E11 against
@@ -18,12 +19,7 @@ always reproducible by re-running the benchmarks.
 
 from repro.experiments.config import ExperimentScale, QUICK, STANDARD, FULL
 from repro.experiments.cache import FamilyCache, shared_cache
-from repro.experiments.runner import (
-    ExperimentResult,
-    measure_latency,
-    worst_latency,
-    mean_latency,
-)
+from repro.experiments.runner import ExperimentResult
 from repro.experiments.campaign import (
     CampaignResult,
     ExperimentDefinition,
@@ -34,22 +30,7 @@ from repro.experiments.campaign import (
     render_campaign_report,
     resolve_specs,
 )
-from repro.experiments.registry import (
-    DEFINITIONS,
-    EXPERIMENTS,
-    run_experiment,
-    experiment_e1_scenario_a,
-    experiment_e2_scenario_b,
-    experiment_e3_scenario_c,
-    experiment_e4_lower_bound,
-    experiment_e5_scenario_gap,
-    experiment_e6_randomized,
-    experiment_e7_matrix_structure,
-    experiment_e8_selective_families,
-    experiment_e9_baselines,
-    experiment_e10_ablations,
-    experiment_e11_global_vs_local_clock,
-)
+from repro.experiments.registry import DEFINITIONS, get_definition, run_experiment
 from repro.experiments.report import generate_experiments_report
 
 __all__ = [
@@ -60,9 +41,6 @@ __all__ = [
     "FamilyCache",
     "shared_cache",
     "ExperimentResult",
-    "measure_latency",
-    "worst_latency",
-    "mean_latency",
     "CampaignResult",
     "ExperimentDefinition",
     "MeasurementSpec",
@@ -72,18 +50,7 @@ __all__ = [
     "render_campaign_report",
     "resolve_specs",
     "DEFINITIONS",
-    "EXPERIMENTS",
+    "get_definition",
     "run_experiment",
-    "experiment_e1_scenario_a",
-    "experiment_e2_scenario_b",
-    "experiment_e3_scenario_c",
-    "experiment_e4_lower_bound",
-    "experiment_e5_scenario_gap",
-    "experiment_e6_randomized",
-    "experiment_e7_matrix_structure",
-    "experiment_e8_selective_families",
-    "experiment_e9_baselines",
-    "experiment_e10_ablations",
-    "experiment_e11_global_vs_local_clock",
     "generate_experiments_report",
 ]

@@ -67,9 +67,10 @@ class ResolvedSpecs:
     A read-only view handed to ``render`` functions: ``resolved[spec]`` is the
     :class:`~repro.sweeps.store.ConfigRecord` for that spec's config hash.
     The latency accessors implement the two disciplines the experiments use —
-    *strict* (every pattern must have solved; raising otherwise, like
-    ``worst_latency`` always did) and *capped* (unsolved patterns count as
-    the spec's horizon, like the capped latency jobs).
+    *strict* (every pattern must have solved; raising otherwise, because a
+    silent truncation would corrupt the tables) and *capped* (unsolved
+    patterns count as the spec's horizon, for comparisons that include
+    protocols allowed to time out).
 
     Attributes
     ----------
@@ -240,25 +241,17 @@ class CampaignResult:
 
 
 def _definitions(experiments: Optional[Sequence[str]] = None):
-    """The requested :class:`ExperimentDefinition` list, registry order.
+    """The requested :class:`ExperimentDefinition` list (default: all, registry order).
 
-    Imported lazily: the registry imports this module for the definition
-    types, so the campaign side must not import it at module load.
+    Unknown IDs raise before anything runs.  Imported lazily: the registry
+    imports this module for the definition types, so the campaign side must
+    not import it at module load.
     """
-    from repro.experiments.registry import DEFINITIONS
+    from repro.experiments.registry import DEFINITIONS, get_definition
 
     if experiments is None:
         return list(DEFINITIONS.values())
-    out = []
-    for experiment_id in experiments:
-        try:
-            out.append(DEFINITIONS[experiment_id.upper()])
-        except KeyError:
-            raise KeyError(
-                f"unknown experiment {experiment_id!r}; valid IDs: "
-                f"{sorted(DEFINITIONS)}"
-            ) from None
-    return out
+    return [get_definition(experiment_id) for experiment_id in experiments]
 
 
 @dataclass

@@ -3,15 +3,18 @@
 E1–E10 reproduce DESIGN.md's experiment index; E11 is the global-vs-local
 clock extension (the paper's closing open question).
 
-Every experiment is an :class:`~repro.experiments.campaign.ExperimentDefinition`:
+Every experiment is an :class:`~repro.experiments.campaign.ExperimentDefinition`
+in :data:`DEFINITIONS`, built from one table (ID, title, cells, render):
 
-* ``plan(scale)`` states the experiment's measurement demand as a list of
-  content-hashable :class:`~repro.experiments.campaign.MeasurementSpec`
-  sweep configs (protocol name, ``(n, k)``, workload, batch, seed, horizon)
-  — pure data, no live objects;
-* ``render(resolved, scale, seed, cache)`` turns the resolved records into
-  the :class:`~repro.experiments.runner.ExperimentResult` tables, figures
-  and certificates.
+* ``_eN_cells(scale)`` lays the experiment's grid out as nested cells whose
+  leaves are content-hashable
+  :class:`~repro.experiments.campaign.MeasurementSpec` sweep configs
+  (protocol name, ``(n, k)``, workload, batch, seed, horizon) — pure data, no
+  live objects.  ``plan(scale)`` is every spec in those cells, in order;
+* ``_eN_render(resolved, scale, seed, cache)`` walks the same cells and turns
+  the resolved records into the
+  :class:`~repro.experiments.runner.ExperimentResult` tables, figures and
+  certificates.  Its docstring maps the experiment to the paper's claim.
 
 The split is what makes the paper campaign (:mod:`repro.experiments.campaign`)
 possible: specs deduplicate across experiments (E1/E2/E3/E5/E10/E11 share
@@ -23,19 +26,18 @@ matrix figures, E8's family constructions), driven by the experiment ``seed``.
 
 Every spec uses :data:`BATTERY_SEED` so overlapping cells hash identically
 across experiments; the per-experiment ``seed`` argument only feeds that
-render-side randomness.  The historical callables
-(``experiment_e1_scenario_a`` …) remain as thin wrappers over the
-definitions, and the benchmark files under ``benchmarks/`` still call them
-with the ``QUICK`` scale; ``EXPERIMENTS.md`` is generated from the
-``STANDARD`` scale via :func:`repro.experiments.report.generate_experiments_report`.
+render-side randomness.  :func:`run_experiment` runs one experiment by ID;
+``EXPERIMENTS.md`` is generated from the ``STANDARD`` scale via
+:func:`repro.experiments.report.generate_experiments_report`.
 
 The paper is a theory paper without numeric tables, so each experiment
 validates a stated theorem or comparative claim; the mapping is documented in
-DESIGN.md's experiment index and repeated in each definition's docstring.
+DESIGN.md's experiment index and repeated in each render's docstring.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -74,23 +76,7 @@ from repro.experiments.runner import ExperimentResult
 from repro.reporting.figures import ascii_line_plot, render_matrix_occupancy, render_trace
 from repro.reporting.tables import TextTable
 
-__all__ = [
-    "BATTERY_SEED",
-    "DEFINITIONS",
-    "EXPERIMENTS",
-    "run_experiment",
-    "experiment_e1_scenario_a",
-    "experiment_e2_scenario_b",
-    "experiment_e3_scenario_c",
-    "experiment_e4_lower_bound",
-    "experiment_e5_scenario_gap",
-    "experiment_e6_randomized",
-    "experiment_e7_matrix_structure",
-    "experiment_e8_selective_families",
-    "experiment_e9_baselines",
-    "experiment_e10_ablations",
-    "experiment_e11_global_vs_local_clock",
-]
+__all__ = ["BATTERY_SEED", "DEFINITIONS", "get_definition", "run_experiment"]
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +117,21 @@ def _spec(
     )
 
 
+def _specs_in(cells) -> List[MeasurementSpec]:
+    """Every spec in a nested cells structure, depth-first in cell order.
+
+    Cells are tuples, lists and dicts (in insertion order) of labels and
+    specs; labels are skipped.  This is each experiment's ``plan``.
+    """
+    if isinstance(cells, MeasurementSpec):
+        return [cells]
+    if isinstance(cells, Mapping):
+        cells = cells.values()
+    elif not isinstance(cells, (list, tuple)):
+        return []
+    return [spec for cell in cells for spec in _specs_in(cell)]
+
+
 def _battery(
     protocol: str,
     n: int,
@@ -169,6 +170,13 @@ def _battery(
     return specs
 
 
+def _result(experiment: str, scale: ExperimentScale) -> ExperimentResult:
+    """An empty result titled from the definitions table."""
+    return ExperimentResult(
+        experiment=experiment, title=DEFINITIONS[experiment].title, scale=scale.name
+    )
+
+
 def _growth_fit_note(points: List[Tuple[int, int, float]], *, small_k: bool) -> str:
     """The best-model note E1/E2/E3 append, optionally on the k <= n/4 regime."""
     if small_k:
@@ -188,8 +196,53 @@ def _growth_fit_note(points: List[Tuple[int, int, float]], *, small_k: bool) -> 
     )
 
 
+def _bound_sweep(
+    result: ExperimentResult,
+    cells,
+    resolved: ResolvedSpecs,
+    *,
+    protocol: str,
+    bound: Callable[[int, int], float],
+    bound_header: str,
+    table: str,
+    claim: str,
+    tolerance: float,
+    small_k: bool,
+) -> ExperimentResult:
+    """The E1–E3 render: worst latency per ``(n, k)`` cell, divided by a bound.
+
+    Fills ``result`` with the latency/bound/ratio table, one row per cell, an
+    upper-bound certificate over the sweep and the best growth-model note.
+    """
+    text = TextTable(["n", "k", "worst latency", bound_header, "ratio"])
+    points: List[Tuple[int, int, float]] = []
+    for n, k, specs in cells:
+        latency = resolved.worst(*specs)
+        value = bound(n, k)
+        ratio = latency / value
+        text.add_row([n, k, latency, value, ratio])
+        points.append((n, k, float(max(1, latency))))
+        result.rows.append(
+            {
+                "experiment": result.experiment,
+                "protocol": protocol,
+                "n": n,
+                "k": k,
+                "latency": latency,
+                "bound": value,
+                "ratio": ratio,
+            }
+        )
+    result.tables[table] = text.render()
+    result.certificates.append(
+        check_upper_bound(points, bound, claim=claim, tolerance=tolerance)
+    )
+    result.notes.append(_growth_fit_note(points, small_k=small_k))
+    return result
+
+
 # ---------------------------------------------------------------------------
-# E1 — Scenario A
+# E1–E3 — Scenarios A, B and C: worst latency over the (n, k) grid vs a bound
 # ---------------------------------------------------------------------------
 
 
@@ -201,53 +254,30 @@ def _e1_cells(scale: ExperimentScale):
     ]
 
 
-def _e1_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, specs in _e1_cells(scale) for spec in specs]
-
-
 def _e1_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E1",
-        title="Scenario A (s known): wakeup_with_s is Θ(k log(n/k) + 1)",
-        scale=scale.name,
-    )
-    table = TextTable(["n", "k", "worst latency", "k log(n/k)+1", "ratio"])
-    points: List[Tuple[int, int, float]] = []
-    for n, k, specs in _e1_cells(scale):
-        latency = resolved.worst(*specs)
-        bound = scenario_ab_bound(n, k)
-        ratio = latency / bound
-        table.add_row([n, k, latency, bound, ratio])
-        points.append((n, k, float(max(1, latency))))
-        result.rows.append(
-            {
-                "experiment": "E1",
-                "protocol": "wakeup_with_s",
-                "n": n,
-                "k": k,
-                "latency": latency,
-                "bound": bound,
-                "ratio": ratio,
-            }
-        )
-    result.tables["scenario_a_latency"] = table.render()
-    result.certificates.append(
-        check_upper_bound(
-            points,
-            scenario_ab_bound,
-            claim="wakeup_with_s latency = O(k log(n/k) + 1)",
-            tolerance=48.0,
-        )
-    )
-    result.notes.append(_growth_fit_note(points, small_k=True))
-    return result
+    """E1: WAKEUP-WITH-S latency grows as Θ(k log(n/k) + 1) (paper Section 3).
 
-
-# ---------------------------------------------------------------------------
-# E2 — Scenario B
-# ---------------------------------------------------------------------------
+    For each ``(n, k)`` the worst latency over the adversarial pattern
+    battery (all with ``s = 0``, which Scenario A assumes known) is recorded
+    and normalized by ``k log(n/k) + 1``.  The certificate asserts the
+    normalized ratio is bounded by a fixed constant across the sweep, and the
+    model fit confirms ``k log(n/k)`` explains the data better than the
+    neighbouring candidates (``k``, ``k log n``).
+    """
+    return _bound_sweep(
+        _result("E1", scale),
+        _e1_cells(scale),
+        resolved,
+        protocol="wakeup_with_s",
+        bound=scenario_ab_bound,
+        bound_header="k log(n/k)+1",
+        table="scenario_a_latency",
+        claim="wakeup_with_s latency = O(k log(n/k) + 1)",
+        tolerance=48.0,
+        small_k=True,
+    )
 
 
 def _e2_cells(scale: ExperimentScale):
@@ -267,53 +297,28 @@ def _e2_cells(scale: ExperimentScale):
     return cells
 
 
-def _e2_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, specs in _e2_cells(scale) for spec in specs]
-
-
 def _e2_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E2",
-        title="Scenario B (k known): wakeup_with_k is Θ(k log(n/k) + 1)",
-        scale=scale.name,
-    )
-    table = TextTable(["n", "k", "worst latency", "k log(n/k)+1", "ratio"])
-    points: List[Tuple[int, int, float]] = []
-    for n, k, specs in _e2_cells(scale):
-        latency = resolved.worst(*specs)
-        bound = scenario_ab_bound(n, k)
-        ratio = latency / bound
-        table.add_row([n, k, latency, bound, ratio])
-        points.append((n, k, float(max(1, latency))))
-        result.rows.append(
-            {
-                "experiment": "E2",
-                "protocol": "wakeup_with_k",
-                "n": n,
-                "k": k,
-                "latency": latency,
-                "bound": bound,
-                "ratio": ratio,
-            }
-        )
-    result.tables["scenario_b_latency"] = table.render()
-    result.certificates.append(
-        check_upper_bound(
-            points,
-            scenario_ab_bound,
-            claim="wakeup_with_k latency = O(k log(n/k) + 1)",
-            tolerance=64.0,
-        )
-    )
-    result.notes.append(_growth_fit_note(points, small_k=True))
-    return result
+    """E2: WAKEUP-WITH-K latency grows as Θ(k log(n/k) + 1) (paper Section 4).
 
-
-# ---------------------------------------------------------------------------
-# E3 — Scenario C
-# ---------------------------------------------------------------------------
+    Same sweep as E1, but the protocol only knows ``k`` (not ``s``) and the
+    battery additionally contains the adversarial patterns that wake stations
+    just after a selective-family boundary — the worst case for the
+    ``wait_and_go`` waiting rule.
+    """
+    return _bound_sweep(
+        _result("E2", scale),
+        _e2_cells(scale),
+        resolved,
+        protocol="wakeup_with_k",
+        bound=scenario_ab_bound,
+        bound_header="k log(n/k)+1",
+        table="scenario_b_latency",
+        claim="wakeup_with_k latency = O(k log(n/k) + 1)",
+        tolerance=64.0,
+        small_k=True,
+    )
 
 
 def _e3_cells(scale: ExperimentScale):
@@ -331,48 +336,28 @@ def _e3_cells(scale: ExperimentScale):
     return cells
 
 
-def _e3_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, specs in _e3_cells(scale) for spec in specs]
-
-
 def _e3_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E3",
-        title="Scenario C (nothing known): wakeup(n) is O(k log n log log n)",
-        scale=scale.name,
+    """E3: WAKEUP(n) latency is O(k log n log log n) (paper Theorem 5.3).
+
+    The battery includes the window-boundary adversary (stations wake one
+    slot after a window starts, maximizing the forced idle time of µ).
+    Measured worst latencies are normalized by ``k log n log log n``; the
+    certificate asserts a uniform constant.
+    """
+    return _bound_sweep(
+        _result("E3", scale),
+        _e3_cells(scale),
+        resolved,
+        protocol="wakeup_scenario_c",
+        bound=scenario_c_bound,
+        bound_header="k·logn·loglogn",
+        table="scenario_c_latency",
+        claim="wakeup(n) latency = O(k log n log log n)",
+        tolerance=32.0,
+        small_k=False,
     )
-    table = TextTable(["n", "k", "worst latency", "k·logn·loglogn", "ratio"])
-    points: List[Tuple[int, int, float]] = []
-    for n, k, specs in _e3_cells(scale):
-        latency = resolved.worst(*specs)
-        bound = scenario_c_bound(n, k)
-        ratio = latency / bound
-        table.add_row([n, k, latency, bound, ratio])
-        points.append((n, k, float(max(1, latency))))
-        result.rows.append(
-            {
-                "experiment": "E3",
-                "protocol": "wakeup_scenario_c",
-                "n": n,
-                "k": k,
-                "latency": latency,
-                "bound": bound,
-                "ratio": ratio,
-            }
-        )
-    result.tables["scenario_c_latency"] = table.render()
-    result.certificates.append(
-        check_upper_bound(
-            points,
-            scenario_c_bound,
-            claim="wakeup(n) latency = O(k log n log log n)",
-            tolerance=32.0,
-        )
-    )
-    result.notes.append(_growth_fit_note(points, small_k=False))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +375,19 @@ def _e4_cells(scale: ExperimentScale):
     ]
 
 
-def _e4_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, spec in _e4_cells(scale)]
-
-
 def _e4_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
+    """E4: the replacement adversary forces ≥ min{k, n-k+1} rounds (Theorem 2.1).
+
+    The adaptive adversary is run against every protocol in the library.  For
+    round-robin the worst case is also constructed exactly (the ``k`` stations
+    whose turns come last), giving a tight check; for the other protocols the
+    heuristic adversary provides an empirical floor which is compared to the
+    theoretical bound.
+    """
     rng = as_generator(seed)
-    result = ExperimentResult(
-        experiment="E4",
-        title="Lower bound: any algorithm needs min{k, n-k+1} rounds",
-        scale=scale.name,
-    )
+    result = _result("E4", scale)
     table = TextTable(
         ["protocol", "n", "k", "adversary latency", "distinct slots", "min{k,n-k+1}"]
     )
@@ -484,23 +469,17 @@ def _e5_cells(scale: ExperimentScale):
     ]
 
 
-def _e5_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [
-        spec
-        for _, _, batteries in _e5_cells(scale)
-        for specs in batteries.values()
-        for spec in specs
-    ]
-
-
 def _e5_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E5",
-        title="Gap between Scenario C and Scenarios A/B",
-        scale=scale.name,
-    )
+    """E5: the price of knowing nothing — Scenario C vs Scenarios A/B.
+
+    For fixed ``k`` and growing ``n`` the measured gap
+    ``latency_C / latency_A`` should track the theoretical factor
+    ``log n log log n / log(n/k)`` (paper: Scenario C is a ``Θ(log log n)``
+    factor away from optimal, and loses the ``log(n/k) → log n`` refinement).
+    """
+    result = _result("E5", scale)
     table = TextTable(
         ["n", "k", "latency A", "latency B", "latency C", "gap C/A", "theory factor"]
     )
@@ -575,18 +554,22 @@ def _e6_cells(scale: ExperimentScale):
     return cells
 
 
-def _e6_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, specs in _e6_cells(scale) for spec in specs.values()]
-
-
 def _e6_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E6",
-        title="Randomized wake-up: RPD expected O(log n) / O(log k)",
-        scale=scale.name,
-    )
+    """E6: randomized protocols (Section 6) — RPD is O(log n), O(log k) with known k.
+
+    Expected latencies (mean over repeated runs) of RPD with and without the
+    knowledge of ``k``, of the Decay ablation, and of genie-tuned ALOHA are
+    compared against ``log n`` and ``log k``, and against the
+    Kushilevitz–Mansour ``Ω(log k)`` lower bound.  The classical
+    feedback-driven baselines — binary exponential backoff and tree
+    splitting, both resolved through the vectorized feedback engine on the
+    collision-detection channel — ride along for comparison (capped at the
+    horizon; they carry no certificate because they use a strictly stronger
+    channel than the paper's model).
+    """
+    result = _result("E6", scale)
     table = TextTable(
         [
             "n",
@@ -677,18 +660,20 @@ def _e6_render(
 # ---------------------------------------------------------------------------
 
 
-def _render_only_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return []
-
-
 def _e7_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E7",
-        title="Transmission-matrix structure (paper Figures 1 and 2)",
-        scale=scale.name,
-    )
+    """E7: structural reproduction of the paper's Figures 1 and 2.
+
+    Renders (a) which matrix rows a station traverses after waking (Figure 1)
+    and (b) the per-slot timeline of a small execution where stations with
+    different wake-up times transmit according to different rows of the same
+    column (Figure 2).  Also validates that the protocol-level simulation and
+    the matrix-level isolation analysis agree on the first success, and that
+    the empirical membership frequencies match the prescribed probabilities
+    ``2^-(i+ρ(j))``.
+    """
+    result = _result("E7", scale)
     n = 32
     protocol = WakeupProtocol(n, seed=seed)
     params = protocol.params
@@ -766,12 +751,15 @@ def _e7_render(
 def _e8_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
+    """E8: constructed selective-family lengths vs the O(k log(n/k)) target.
+
+    Compares the randomized (existential-style) construction and the explicit
+    Kautz–Singleton construction on length and verified selectivity, exposing
+    the price of explicitness the paper's conclusion mentions ("an efficient
+    implementation ... could require an explicit construction").
+    """
     rng = as_generator(seed)
-    result = ExperimentResult(
-        experiment="E8",
-        title="Selective families: length and selectivity of the constructions",
-        scale=scale.name,
-    )
+    result = _result("E8", scale)
     table = TextTable(
         [
             "n",
@@ -847,18 +835,18 @@ def _e9_cells(scale: ExperimentScale):
     return cells
 
 
-def _e9_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [spec for _, _, _, specs in _e9_cells(scale) for spec in specs.values()]
-
-
 def _e9_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E9",
-        title="Baseline comparison on simultaneous and staggered wake-ups",
-        scale=scale.name,
-    )
+    """E9: the paper's algorithms vs classical baselines (who wins where).
+
+    Deterministic worst-case protocols are compared against TDMA, the
+    synchronized Komlós–Greenberg schedule, tuned slotted ALOHA, binary
+    exponential backoff and tree splitting, on simultaneous and staggered
+    wake-ups.  Baselines that need collision detection or knowledge the
+    paper's model does not provide are flagged in the notes.
+    """
+    result = _result("E9", scale)
     table = TextTable(["k", "pattern", "protocol", "latency", "winner?"])
     for n, k, pattern_name, specs in _e9_cells(scale):
         latencies: Dict[str, float] = {}
@@ -948,24 +936,19 @@ def _e10_cells(scale: ExperimentScale):
     return n, k, k_large, cells
 
 
-def _e10_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    _, _, _, cells = _e10_cells(scale)
-    return [
-        spec
-        for ablation_cells in cells.values()
-        for _, specs in ablation_cells
-        for spec in specs
-    ]
-
-
 def _e10_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E10",
-        title="Ablations: window length, constant c, waiting rule, interleaving",
-        scale=scale.name,
-    )
+    """E10: ablations of the design choices DESIGN.md calls out.
+
+    (a) Scenario C window length: 1 vs the paper's ``log log n`` vs ``log n``.
+    (b) Scenario C constant ``c``: 1, 2, 4.
+    (c) The ``wait_and_go`` waiting rule vs starting immediately
+        (Komlós–Greenberg schedule) on family-boundary adversarial wake-ups.
+    (d) Interleaving round-robin vs running the selective arm alone for
+        ``k`` close to ``n``.
+    """
+    result = _result("E10", scale)
     n, k, k_large, cells = _e10_cells(scale)
 
     table_a = TextTable(["window", "worst latency"])
@@ -1065,23 +1048,19 @@ def _e11_cells(scale: ExperimentScale):
     return cells
 
 
-def _e11_plan(scale: ExperimentScale) -> List[MeasurementSpec]:
-    return [
-        spec
-        for _, _, variants in _e11_cells(scale)
-        for specs in variants.values()
-        for spec in specs
-    ]
-
-
 def _e11_render(
     resolved: ResolvedSpecs, scale: ExperimentScale, seed: int, cache
 ) -> ExperimentResult:
-    result = ExperimentResult(
-        experiment="E11",
-        title="Extension: global clock vs local clock",
-        scale=scale.name,
-    )
+    """E11 (extension): how much does the global clock buy?
+
+    The paper's conclusions ask whether the global clock is necessary and
+    conjecture the gap to locally synchronous solutions cannot be removed.
+    This experiment runs the globally-clocked algorithms next to their
+    locally-clocked counterparts (schedules indexed by each station's own
+    wake-up-relative time) on staggered wake-ups — the regime where the
+    clocks actually differ — and reports the latency ratio.
+    """
+    result = _result("E11", scale)
     table = TextTable(
         ["k", "wait_and_go (global)", "local-clock schedule", "scenario C (global)", "scenario C (local)"]
     )
@@ -1129,269 +1108,53 @@ def _e11_render(
 # Registry
 # ---------------------------------------------------------------------------
 
+#: ``(ID, title, cells, render)`` per experiment, in campaign order.  Render-only
+#: experiments (E7, E8) have no cells and plan no measurements.
+_TABLE = (
+    ("E1", "Scenario A (s known): wakeup_with_s is Θ(k log(n/k) + 1)", _e1_cells, _e1_render),
+    ("E2", "Scenario B (k known): wakeup_with_k is Θ(k log(n/k) + 1)", _e2_cells, _e2_render),
+    ("E3", "Scenario C (nothing known): wakeup(n) is O(k log n log log n)", _e3_cells, _e3_render),
+    ("E4", "Lower bound: any algorithm needs min{k, n-k+1} rounds", _e4_cells, _e4_render),
+    ("E5", "Gap between Scenario C and Scenarios A/B", _e5_cells, _e5_render),
+    ("E6", "Randomized wake-up: RPD expected O(log n) / O(log k)", _e6_cells, _e6_render),
+    ("E7", "Transmission-matrix structure (paper Figures 1 and 2)", None, _e7_render),
+    ("E8", "Selective families: length and selectivity of the constructions", None, _e8_render),
+    ("E9", "Baseline comparison on simultaneous and staggered wake-ups", _e9_cells, _e9_render),
+    ("E10", "Ablations: window length, constant c, waiting rule, interleaving", _e10_cells, _e10_render),
+    ("E11", "Extension: global clock vs local clock", _e11_cells, _e11_render),
+)
+
+
+def _plan(cells: Optional[Callable], scale: ExperimentScale) -> List[MeasurementSpec]:
+    """Every spec of ``cells(scale)`` in cell order; none without cells."""
+    return _specs_in(cells(scale)) if cells is not None else []
+
 
 #: The declarative registry: the campaign driver iterates these in order.
+#: Each experiment's default ``seed`` is its number.
 DEFINITIONS: Dict[str, ExperimentDefinition] = {
-    "E1": ExperimentDefinition(
-        "E1",
-        title="Scenario A (s known): wakeup_with_s is Θ(k log(n/k) + 1)",
-        plan=_e1_plan,
-        render=_e1_render,
-        default_seed=1,
-    ),
-    "E2": ExperimentDefinition(
-        "E2",
-        title="Scenario B (k known): wakeup_with_k is Θ(k log(n/k) + 1)",
-        plan=_e2_plan,
-        render=_e2_render,
-        default_seed=2,
-    ),
-    "E3": ExperimentDefinition(
-        "E3",
-        title="Scenario C (nothing known): wakeup(n) is O(k log n log log n)",
-        plan=_e3_plan,
-        render=_e3_render,
-        default_seed=3,
-    ),
-    "E4": ExperimentDefinition(
-        "E4",
-        title="Lower bound: any algorithm needs min{k, n-k+1} rounds",
-        plan=_e4_plan,
-        render=_e4_render,
-        default_seed=4,
-    ),
-    "E5": ExperimentDefinition(
-        "E5",
-        title="Gap between Scenario C and Scenarios A/B",
-        plan=_e5_plan,
-        render=_e5_render,
-        default_seed=5,
-    ),
-    "E6": ExperimentDefinition(
-        "E6",
-        title="Randomized wake-up: RPD expected O(log n) / O(log k)",
-        plan=_e6_plan,
-        render=_e6_render,
-        default_seed=6,
-    ),
-    "E7": ExperimentDefinition(
-        "E7",
-        title="Transmission-matrix structure (paper Figures 1 and 2)",
-        plan=_render_only_plan,
-        render=_e7_render,
-        default_seed=7,
-    ),
-    "E8": ExperimentDefinition(
-        "E8",
-        title="Selective families: length and selectivity of the constructions",
-        plan=_render_only_plan,
-        render=_e8_render,
-        default_seed=8,
-    ),
-    "E9": ExperimentDefinition(
-        "E9",
-        title="Baseline comparison on simultaneous and staggered wake-ups",
-        plan=_e9_plan,
-        render=_e9_render,
-        default_seed=9,
-    ),
-    "E10": ExperimentDefinition(
-        "E10",
-        title="Ablations: window length, constant c, waiting rule, interleaving",
-        plan=_e10_plan,
-        render=_e10_render,
-        default_seed=10,
-    ),
-    "E11": ExperimentDefinition(
-        "E11",
-        title="Extension: global clock vs local clock",
-        plan=_e11_plan,
-        render=_e11_render,
-        default_seed=11,
-    ),
+    experiment: ExperimentDefinition(
+        experiment,
+        title=title,
+        plan=functools.partial(_plan, cells),
+        render=render,
+        default_seed=int(experiment[1:]),
+    )
+    for experiment, title, cells, render in _TABLE
 }
 
 
-# -- historical callables ----------------------------------------------------
-#
-# The single-experiment entry points predate the plan/render split and are
-# kept with their original signatures; each routes through its definition's
-# ``run`` (plan → ephemeral resolve → render), so the campaign path and the
-# direct path produce identical results by construction.
+def get_definition(experiment_id: str) -> ExperimentDefinition:
+    """The definition of one experiment ID, case-insensitively (``"e3"`` is E3).
 
-
-def experiment_e1_scenario_a(
-    scale: ExperimentScale = QUICK, *, seed: int = 1, cache=None
-) -> ExperimentResult:
-    """E1: WAKEUP-WITH-S latency grows as Θ(k log(n/k) + 1) (paper Section 3).
-
-    For each ``(n, k)`` the worst latency over the adversarial pattern
-    battery (all with ``s = 0``, which Scenario A assumes known) is recorded
-    and normalized by ``k log(n/k) + 1``.  The certificate asserts the
-    normalized ratio is bounded by a fixed constant across the sweep, and the
-    model fit confirms ``k log(n/k)`` explains the data better than the
-    neighbouring candidates (``k``, ``k log n``).
+    Raises :class:`KeyError` naming the valid IDs for an unknown one.
     """
-    return DEFINITIONS["E1"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e2_scenario_b(
-    scale: ExperimentScale = QUICK, *, seed: int = 2, cache=None
-) -> ExperimentResult:
-    """E2: WAKEUP-WITH-K latency grows as Θ(k log(n/k) + 1) (paper Section 4).
-
-    Same sweep as E1, but the protocol only knows ``k`` (not ``s``) and the
-    battery additionally contains the adversarial patterns that wake stations
-    just after a selective-family boundary — the worst case for the
-    ``wait_and_go`` waiting rule.
-    """
-    return DEFINITIONS["E2"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e3_scenario_c(
-    scale: ExperimentScale = QUICK, *, seed: int = 3
-) -> ExperimentResult:
-    """E3: WAKEUP(n) latency is O(k log n log log n) (paper Theorem 5.3).
-
-    The battery includes the window-boundary adversary (stations wake one
-    slot after a window starts, maximizing the forced idle time of µ).
-    Measured worst latencies are normalized by ``k log n log log n``; the
-    certificate asserts a uniform constant.
-    """
-    return DEFINITIONS["E3"].run(scale, seed=seed)
-
-
-def experiment_e4_lower_bound(
-    scale: ExperimentScale = QUICK, *, seed: int = 4, cache=None
-) -> ExperimentResult:
-    """E4: the replacement adversary forces ≥ min{k, n-k+1} rounds (Theorem 2.1).
-
-    The adaptive adversary is run against every protocol in the library.  For
-    round-robin the worst case is also constructed exactly (the ``k`` stations
-    whose turns come last), giving a tight check; for the other protocols the
-    heuristic adversary provides an empirical floor which is compared to the
-    theoretical bound.
-    """
-    return DEFINITIONS["E4"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e5_scenario_gap(
-    scale: ExperimentScale = QUICK, *, seed: int = 5, cache=None
-) -> ExperimentResult:
-    """E5: the price of knowing nothing — Scenario C vs Scenarios A/B.
-
-    For fixed ``k`` and growing ``n`` the measured gap
-    ``latency_C / latency_A`` should track the theoretical factor
-    ``log n log log n / log(n/k)`` (paper: Scenario C is a ``Θ(log log n)``
-    factor away from optimal, and loses the ``log(n/k) → log n`` refinement).
-    """
-    return DEFINITIONS["E5"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e6_randomized(
-    scale: ExperimentScale = QUICK, *, seed: int = 6
-) -> ExperimentResult:
-    """E6: randomized protocols (Section 6) — RPD is O(log n), O(log k) with known k.
-
-    Expected latencies (mean over repeated runs) of RPD with and without the
-    knowledge of ``k``, of the Decay ablation, and of genie-tuned ALOHA are
-    compared against ``log n`` and ``log k``, and against the
-    Kushilevitz–Mansour ``Ω(log k)`` lower bound.  The classical
-    feedback-driven baselines — binary exponential backoff and tree
-    splitting, both resolved through the vectorized feedback engine on the
-    collision-detection channel — ride along for comparison (capped at the
-    horizon; they carry no certificate because they use a strictly stronger
-    channel than the paper's model).
-    """
-    return DEFINITIONS["E6"].run(scale, seed=seed)
-
-
-def experiment_e7_matrix_structure(
-    scale: ExperimentScale = QUICK, *, seed: int = 7
-) -> ExperimentResult:
-    """E7: structural reproduction of the paper's Figures 1 and 2.
-
-    Renders (a) which matrix rows a station traverses after waking (Figure 1)
-    and (b) the per-slot timeline of a small execution where stations with
-    different wake-up times transmit according to different rows of the same
-    column (Figure 2).  Also validates that the protocol-level simulation and
-    the matrix-level isolation analysis agree on the first success, and that
-    the empirical membership frequencies match the prescribed probabilities
-    ``2^-(i+ρ(j))``.
-    """
-    return DEFINITIONS["E7"].run(scale, seed=seed)
-
-
-def experiment_e8_selective_families(
-    scale: ExperimentScale = QUICK, *, seed: int = 8
-) -> ExperimentResult:
-    """E8: constructed selective-family lengths vs the O(k log(n/k)) target.
-
-    Compares the randomized (existential-style) construction and the explicit
-    Kautz–Singleton construction on length and verified selectivity, exposing
-    the price of explicitness the paper's conclusion mentions ("an efficient
-    implementation ... could require an explicit construction").
-    """
-    return DEFINITIONS["E8"].run(scale, seed=seed)
-
-
-def experiment_e9_baselines(
-    scale: ExperimentScale = QUICK, *, seed: int = 9, cache=None
-) -> ExperimentResult:
-    """E9: the paper's algorithms vs classical baselines (who wins where).
-
-    Deterministic worst-case protocols are compared against TDMA, the
-    synchronized Komlós–Greenberg schedule, tuned slotted ALOHA, binary
-    exponential backoff and tree splitting, on simultaneous and staggered
-    wake-ups.  Baselines that need collision detection or knowledge the
-    paper's model does not provide are flagged in the notes.
-    """
-    return DEFINITIONS["E9"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e10_ablations(
-    scale: ExperimentScale = QUICK, *, seed: int = 10, cache=None
-) -> ExperimentResult:
-    """E10: ablations of the design choices DESIGN.md calls out.
-
-    (a) Scenario C window length: 1 vs the paper's ``log log n`` vs ``log n``.
-    (b) Scenario C constant ``c``: 1, 2, 4.
-    (c) The ``wait_and_go`` waiting rule vs starting immediately
-        (Komlós–Greenberg schedule) on family-boundary adversarial wake-ups.
-    (d) Interleaving round-robin vs running the selective arm alone for
-        ``k`` close to ``n``.
-    """
-    return DEFINITIONS["E10"].run(scale, seed=seed, cache=cache)
-
-
-def experiment_e11_global_vs_local_clock(
-    scale: ExperimentScale = QUICK, *, seed: int = 11, cache=None
-) -> ExperimentResult:
-    """E11 (extension): how much does the global clock buy?
-
-    The paper's conclusions ask whether the global clock is necessary and
-    conjecture the gap to locally synchronous solutions cannot be removed.
-    This experiment runs the globally-clocked algorithms next to their
-    locally-clocked counterparts (schedules indexed by each station's own
-    wake-up-relative time) on staggered wake-ups — the regime where the
-    clocks actually differ — and reports the latency ratio.
-    """
-    return DEFINITIONS["E11"].run(scale, seed=seed, cache=cache)
-
-
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "E1": experiment_e1_scenario_a,
-    "E2": experiment_e2_scenario_b,
-    "E3": experiment_e3_scenario_c,
-    "E4": experiment_e4_lower_bound,
-    "E5": experiment_e5_scenario_gap,
-    "E6": experiment_e6_randomized,
-    "E7": experiment_e7_matrix_structure,
-    "E8": experiment_e8_selective_families,
-    "E9": experiment_e9_baselines,
-    "E10": experiment_e10_ablations,
-    "E11": experiment_e11_global_vs_local_clock,
-}
+    try:
+        return DEFINITIONS[experiment_id.upper()]
+    except KeyError:
+        raise KeyError(
+            f"unknown experiment {experiment_id!r}; valid IDs: {sorted(DEFINITIONS)}"
+        ) from None
 
 
 def run_experiment(
@@ -1403,10 +1166,4 @@ def run_experiment(
     accepts the definition's ``run`` keywords (``seed``, ``cache`` and also
     ``store``/``workers`` for store-backed resolution).
     """
-    try:
-        definition = DEFINITIONS[experiment_id.upper()]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown experiment {experiment_id!r}; valid IDs: {sorted(DEFINITIONS)}"
-        ) from exc
-    return definition.run(scale, **kwargs)
+    return get_definition(experiment_id).run(scale, **kwargs)

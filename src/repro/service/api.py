@@ -185,14 +185,12 @@ def experiment_queries(
     """
     from repro.experiments.campaign import dedup_specs
     from repro.experiments.config import QUICK
-    from repro.experiments.registry import DEFINITIONS
+    from repro.experiments.registry import get_definition
 
     try:
-        definition = DEFINITIONS[experiment_id.upper()]
-    except KeyError:
-        raise QueryError(
-            f"unknown experiment {experiment_id!r}; valid IDs: {sorted(DEFINITIONS)}"
-        ) from None
+        definition = get_definition(experiment_id)
+    except KeyError as exc:
+        raise QueryError(exc.args[0]) from None
     specs = dedup_specs(definition.plan(QUICK if scale is None else scale))
     if not specs:
         raise QueryError(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-
-
 from repro.experiments.config import ExperimentScale
 from repro.experiments.report import PAPER_CLAIMS, generate_experiments_report, main
 
@@ -20,9 +18,9 @@ TINY = ExperimentScale(
 
 class TestPaperClaims:
     def test_every_experiment_has_a_claim(self):
-        from repro.experiments.registry import EXPERIMENTS
+        from repro.experiments.registry import DEFINITIONS
 
-        assert set(PAPER_CLAIMS) == set(EXPERIMENTS)
+        assert set(PAPER_CLAIMS) == set(DEFINITIONS)
 
 
 class TestGenerateReport:
@@ -46,3 +44,19 @@ class TestMain:
         assert exit_code == 0
         assert out.exists()
         assert "wrote" in capsys.readouterr().out
+
+    def test_unknown_id_is_a_usage_error_before_anything_runs(self, tmp_path, capsys):
+        # E1 is valid and listed first: nothing may run, and nothing may be
+        # written, before the unknown E99 is rejected.
+        out = tmp_path / "report.md"
+        for ids in (["E99"], ["E1", "E99"]):
+            exit_code = main(["--scale", "quick", "--experiments", *ids, "--output", str(out)])
+            assert exit_code == 2
+            err = capsys.readouterr().err
+            assert "error:" in err and "E99" in err
+            assert not out.exists()
+
+    def test_ids_are_case_insensitive(self, tmp_path):
+        out = tmp_path / "report.md"
+        assert main(["--scale", "quick", "--experiments", "e8", "--output", str(out)]) == 0
+        assert "## E8 —" in out.read_text()

@@ -101,6 +101,18 @@ class TestExperimentCommand:
         assert exit_code == 0
         assert "E8" in out
 
+    def test_experiment_id_is_case_insensitive(self, capsys):
+        exit_code = main(["experiment", "e8", "--scale", "quick"])
+        out = capsys.readouterr().out
+        assert exit_code == 0
+        assert out.startswith("E8: ")
+
+    def test_unknown_experiment_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "E99"])
+        assert exc.value.code == 2
+        assert "E99" in capsys.readouterr().err
+
 
 class TestPaperCommand:
     def test_run_resolves_into_the_store_and_resumes_warm(self, capsys, tmp_path):

@@ -52,6 +52,6 @@ class TestPublicSurface:
         assert repro.scenario_c_bound(64, 4) > repro.scenario_ab_bound(64, 4)
 
     def test_experiment_registry_exported(self):
-        assert "E1" in repro.EXPERIMENTS
+        assert "E1" in repro.DEFINITIONS
         assert callable(repro.run_experiment)
         assert repro.QUICK.name == "quick"
