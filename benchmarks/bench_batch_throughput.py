@@ -6,7 +6,7 @@ configuration B = 256 patterns at n = 1024, k = 16, the patterns/sec of
 
 * the per-pattern loop (``run_deterministic`` per pattern, the pre-engine
   path), and
-* one ``run_deterministic_batch`` call over the same patterns,
+* one ``run_batch`` call over the same patterns,
 
 as ``extra_info["patterns_per_sec"]`` so BENCH_*.json files track the
 speedup over time, plus a hard regression gate asserting the batch path stays
@@ -25,7 +25,7 @@ import time
 from repro.channel.simulator import run_deterministic
 from repro.core.round_robin import RoundRobin
 from repro.core.scenario_b import WakeupWithK
-from repro.engine import run_deterministic_batch
+from repro.engine import run_batch
 from repro.workloads import WorkloadSuite
 
 N, K, BATCH = 1024, 16, 256
@@ -60,7 +60,7 @@ def test_benchmark_batch_engine(benchmark):
     protocol = _protocols()["wakeup_with_k"]
     patterns = _patterns()
 
-    result = benchmark(lambda: run_deterministic_batch(protocol, patterns))
+    result = benchmark(lambda: run_batch(protocol, patterns))
     assert bool(result.solved.all())
     benchmark.extra_info["patterns_per_sec"] = BATCH / benchmark.stats["mean"]
 
@@ -71,7 +71,7 @@ def test_batch_speedup_is_at_least_10x(record_gate):
     measurements = []
     for name, protocol in _protocols().items():
         # Warm up both paths (page faults and lazy caches), then time best-of-3.
-        run_deterministic_batch(protocol, patterns[:16])
+        run_batch(protocol, patterns[:16])
         [run_deterministic(protocol, p) for p in patterns[:16]]
 
         def best_of(fn, repeats=3):
@@ -82,7 +82,7 @@ def test_batch_speedup_is_at_least_10x(record_gate):
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        batch_time = best_of(lambda: run_deterministic_batch(protocol, patterns))
+        batch_time = best_of(lambda: run_batch(protocol, patterns))
         loop_time = best_of(lambda: [run_deterministic(protocol, p) for p in patterns])
         speedup = loop_time / batch_time
         print(f"{name}: batch {BATCH / batch_time:,.0f} patterns/s, "

@@ -9,7 +9,7 @@ patterns/sec of
 
 * the per-pattern slot loop (``run_randomized`` per pattern, the reference
   path), and
-* one ``run_feedback_batch`` call over the same patterns,
+* one ``run_batch`` call over the same patterns,
 
 both fed the same ``SeedSequence``-spawned child generators so the outcomes
 are bit-for-bit identical, as ``extra_info["patterns_per_sec"]`` — plus a
@@ -28,7 +28,7 @@ import numpy as np
 from repro._util import spawn_generators
 from repro.baselines import BinaryExponentialBackoff, TreeSplitting
 from repro.channel.simulator import run_randomized
-from repro.engine import run_feedback_batch
+from repro.engine import run_batch
 from repro.workloads import WorkloadSuite
 
 N, K, BATCH = 1024, 64, 256
@@ -61,7 +61,7 @@ def _run_loop(policy, patterns):
 
 
 def _run_batch(policy, patterns):
-    return run_feedback_batch(policy, patterns, rngs=_generators(len(patterns)))
+    return run_batch(policy, patterns, rngs=_generators(len(patterns)))
 
 
 def _best_of(fn, repeats=3):

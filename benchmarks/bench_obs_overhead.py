@@ -6,7 +6,7 @@ gates.  Direct A/B timing of an instrumented vs. uninstrumented engine would
 be noise-dominated at the 2% level, so the gate bounds the overhead
 analytically instead:
 
-* count the obs API calls one ``run_deterministic_batch`` actually makes
+* count the obs API calls one ``run_batch`` actually makes
   (deterministic — measured once under an in-memory session);
 * microbenchmark the per-call cost of the *disabled* no-op paths;
 * assert ``calls x per_call_cost < 2%`` of the engine's wall time.
@@ -29,7 +29,7 @@ import pytest
 
 from repro import obs
 from repro.core.round_robin import RoundRobin
-from repro.engine import run_deterministic_batch
+from repro.engine import run_batch
 from repro.sweeps import SweepRunner, SweepSpec
 from repro.workloads import WorkloadSuite
 
@@ -55,7 +55,7 @@ MAX_FRAMING_EVENTS = 8
 def _engine_workload():
     patterns = WorkloadSuite().generate("uniform", n=256, k=8, batch=256, seed=0)
     protocol = RoundRobin(256)
-    return lambda: run_deterministic_batch(protocol, patterns, max_slots=4096)
+    return lambda: run_batch(protocol, patterns, max_slots=4096)
 
 
 def _best_of(fn, repeats=3):

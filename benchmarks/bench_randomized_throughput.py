@@ -8,7 +8,7 @@ per slot until the first success — record the patterns/sec of
 
 * the per-pattern slot loop (``run_randomized`` per pattern, the pre-engine
   path), and
-* one ``run_randomized_batch`` call over the same patterns,
+* one ``run_batch`` call over the same patterns,
 
 both fed the same ``SeedSequence``-spawned child generators so the outcomes
 are bit-for-bit identical, as ``extra_info["patterns_per_sec"]`` — plus a
@@ -30,7 +30,7 @@ import numpy as np
 from repro._util import spawn_generators
 from repro.channel.simulator import run_randomized
 from repro.core.randomized import DecayPolicy, RepeatedProbabilityDecrease
-from repro.engine import run_randomized_batch
+from repro.engine import run_batch
 from repro.workloads import WorkloadSuite
 
 N, K, BATCH = 1024, 64, 256
@@ -63,7 +63,7 @@ def _run_loop(policy, patterns):
 
 
 def _run_batch(policy, patterns):
-    return run_randomized_batch(policy, patterns, rngs=_generators(len(patterns)))
+    return run_batch(policy, patterns, rngs=_generators(len(patterns)))
 
 
 def test_benchmark_per_pattern_slot_loop(benchmark):

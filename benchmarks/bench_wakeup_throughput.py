@@ -6,10 +6,10 @@ patterns, n = 1024, k = 16 uniform wake-ups, record the patterns/sec of
 
 * the pair-by-pair fallback (``run_deterministic`` per pattern — the path
   Scenario C ran through before it became a native fast-path protocol),
-* one ``run_deterministic_batch`` call with the generic
+* one ``run_batch`` call with the generic
   ``DeterministicProtocol.batch_transmit_slots`` fallback pinned (the engine
   without the native override), and
-* one ``run_deterministic_batch`` call on the native path (batched
+* one ``run_batch`` call on the native path (batched
   ``membership_for_pairs`` over one ``searchsorted`` row-geometry pass),
 
 as ``extra_info["patterns_per_sec"]`` — plus hard regression gates asserting
@@ -33,7 +33,7 @@ import numpy as np
 from repro.channel.protocols import DeterministicProtocol
 from repro.channel.simulator import run_deterministic
 from repro.core.scenario_c import WakeupProtocol
-from repro.engine import run_deterministic_batch
+from repro.engine import run_batch
 from repro.workloads import WorkloadSuite
 
 N, K, BATCH = 1024, 16, 256
@@ -83,7 +83,7 @@ def test_benchmark_native_batch(benchmark):
     native, _ = _protocols()
     patterns = _patterns()
 
-    result = benchmark(lambda: run_deterministic_batch(native, patterns))
+    result = benchmark(lambda: run_batch(native, patterns))
     assert bool(result.solved.all())
     benchmark.extra_info["patterns_per_sec"] = BATCH / benchmark.stats["mean"]
 
@@ -92,8 +92,8 @@ def test_native_and_fallback_agree_bit_for_bit():
     """All three paths resolve every pattern to the same outcome columns."""
     native, generic = _protocols()
     patterns = _patterns()
-    a = run_deterministic_batch(native, patterns)
-    b = run_deterministic_batch(generic, patterns)
+    a = run_batch(native, patterns)
+    b = run_batch(generic, patterns)
     for column in ("solved", "success_slot", "winner", "latency", "slots_examined"):
         np.testing.assert_array_equal(getattr(a, column), getattr(b, column), err_msg=column)
     for i, pattern in enumerate(patterns[:32]):
@@ -113,12 +113,12 @@ def test_wakeup_batch_speedup_is_at_least_10x(record_gate):
     native, generic = _protocols()
     patterns = _patterns()
     # Warm up all paths (page faults and lazy caches) before timing best-of-3.
-    run_deterministic_batch(native, patterns[:16])
-    run_deterministic_batch(generic, patterns[:16])
+    run_batch(native, patterns[:16])
+    run_batch(generic, patterns[:16])
     [run_deterministic(native, p) for p in patterns[:16]]
 
-    native_time = _best_of(lambda: run_deterministic_batch(native, patterns))
-    generic_time = _best_of(lambda: run_deterministic_batch(generic, patterns))
+    native_time = _best_of(lambda: run_batch(native, patterns))
+    generic_time = _best_of(lambda: run_batch(generic, patterns))
     loop_time = _best_of(lambda: [run_deterministic(native, p) for p in patterns])
     loop_speedup = loop_time / native_time
     generic_speedup = generic_time / native_time

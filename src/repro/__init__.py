@@ -39,7 +39,6 @@ from repro.channel import (
     FeedbackSignal,
     NoCollisionDetection,
     RandomizedPolicy,
-    Simulator,
     SlotOutcome,
     WakeupPattern,
     WakeupResult,
@@ -83,9 +82,7 @@ from repro.core import (
 from repro.engine import (
     BatchResult,
     Campaign,
-    run_deterministic_batch,
-    run_feedback_batch,
-    run_randomized_batch,
+    run_batch,
 )
 from repro.experiments import (
     DEFINITIONS,
@@ -126,7 +123,6 @@ __all__ = [
     "FeedbackSignal",
     "NoCollisionDetection",
     "RandomizedPolicy",
-    "Simulator",
     "SlotOutcome",
     "WakeupPattern",
     "WakeupResult",
@@ -166,9 +162,7 @@ __all__ = [
     # batch engine
     "BatchResult",
     "Campaign",
-    "run_deterministic_batch",
-    "run_feedback_batch",
-    "run_randomized_batch",
+    "run_batch",
     # results service
     "ResultsService",
     "ServiceClient",

@@ -12,9 +12,10 @@ This module collects small helpers used throughout the library:
 Seed-derivation convention
 --------------------------
 
-Whenever one seed has to fan out into several independent streams — batch
-shards in :mod:`repro.engine`, per-pattern draws in :mod:`repro.workloads`,
-worker processes in a :class:`~repro.engine.Campaign` — child generators MUST
+Whenever one seed has to fan out into several independent streams — the
+per-pattern streams of :func:`repro.engine.run_batch`, per-pattern draws in
+:mod:`repro.workloads`, per-candidate evaluation in :mod:`repro.adversary` —
+child generators MUST
 be derived with :meth:`numpy.random.SeedSequence.spawn` (wrapped here as
 :func:`spawn_generators` / :func:`derived_generator`), never with ad-hoc
 integer offsets such as ``seed + i``.  Offset seeds produce correlated

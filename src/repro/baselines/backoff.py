@@ -18,7 +18,7 @@ The backoff draws come from the *pattern's* generator (the ``rng`` the
 simulator passes to :meth:`~BinaryExponentialBackoff.observe`), not from a
 policy-owned stream, so each pattern's outcome is a function of its own
 ``SeedSequence`` child stream alone — the property that lets
-:func:`repro.engine.run_feedback_batch` resolve whole batches through the
+:mod:`repro.engine.feedback_batch` resolve whole batches through the
 native vectorized surface (:class:`~repro.channel.protocols.FeedbackVectorizedPolicy`)
 with bit-for-bit the slot loop's outcomes.  A window draw consumes one
 uniform ``u`` and backs off ``floor(u * 2^c)`` slots, which is exactly
@@ -66,7 +66,7 @@ class BinaryExponentialBackoff(FeedbackVectorizedPolicy, RandomizedPolicy):
     name = "binary-exponential-backoff"
     requires_collision_detection = True
     # Probabilities depend on observed collisions: the batch engine resolves
-    # BEB through run_feedback_batch (or the slot loop), never a matrix.
+    # BEB through the feedback scan (or the slot loop), never a matrix.
     feedback_driven = True
 
     def __init__(self, n: int, *, max_exponent: int = 10, rng: RngLike = None) -> None:
@@ -105,7 +105,7 @@ class BinaryExponentialBackoff(FeedbackVectorizedPolicy, RandomizedPolicy):
             draw = (rng if rng is not None else self._rng).random()
             state.extra["next_attempt"] = slot + 1 + int(draw * window)
 
-    # -- vectorized surface (run_feedback_batch) -----------------------------
+    # -- vectorized surface (engine.feedback_batch) --------------------------
 
     def batch_create_state(
         self, pair_row: np.ndarray, pair_station: np.ndarray, pair_wake: np.ndarray

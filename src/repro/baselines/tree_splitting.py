@@ -20,7 +20,7 @@ wake-up workloads we benchmark.
 The splitting coins come from the *pattern's* generator (the ``rng`` the
 simulator passes to :meth:`~TreeSplitting.observe`), not from a policy-owned
 stream, so each pattern's outcome depends on its own ``SeedSequence`` child
-stream alone; that is what lets :func:`repro.engine.run_feedback_batch` batch
+stream alone; that is what lets :mod:`repro.engine.feedback_batch` batch
 whole pattern sets through the native vectorized surface
 (:class:`~repro.channel.protocols.FeedbackVectorizedPolicy`) with bit-for-bit
 the slot loop's outcomes.
@@ -56,7 +56,7 @@ class TreeSplitting(FeedbackVectorizedPolicy, RandomizedPolicy):
     name = "tree-splitting"
     requires_collision_detection = True
     # The stack counters evolve with ternary feedback: resolved slot by slot
-    # (per pattern) or through run_feedback_batch, never a matrix.
+    # (per pattern) or through the feedback scan, never a matrix.
     feedback_driven = True
 
     def __init__(self, n: int, *, rng: RngLike = None) -> None:
@@ -96,7 +96,7 @@ class TreeSplitting(FeedbackVectorizedPolicy, RandomizedPolicy):
             if counter > 0:
                 state.extra["counter"] = counter - 1
 
-    # -- vectorized surface (run_feedback_batch) -----------------------------
+    # -- vectorized surface (engine.feedback_batch) --------------------------
 
     def batch_create_state(
         self, pair_row: np.ndarray, pair_station: np.ndarray, pair_wake: np.ndarray

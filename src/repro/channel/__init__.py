@@ -40,7 +40,6 @@ from repro.channel.trace import ExecutionTrace
 from repro.channel.clock import GlobalClock, LocalClock
 from repro.channel.simulator import (
     WakeupResult,
-    Simulator,
     run_deterministic,
     run_randomized,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "GlobalClock",
     "LocalClock",
     "WakeupResult",
-    "Simulator",
     "run_deterministic",
     "run_randomized",
     "simultaneous_pattern",

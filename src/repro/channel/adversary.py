@@ -212,12 +212,17 @@ def worst_case_search(
 
     This does not certify the true worst case (that is what the theory is
     for); it provides the empirical "max over adversary moves" column in the
-    experiment tables.  All candidates are resolved in one shared scan by the
-    batch engine (:func:`repro.engine.run_deterministic_batch`), so raising
-    ``trials`` is cheap.
+    experiment tables.  All candidates are resolved in one call to the batch
+    engine (:func:`repro.engine.run_batch`), so raising ``trials`` is cheap.
     """
-    from repro.engine import run_deterministic_batch
+    from repro.engine import run_batch
 
+    if not isinstance(protocol, DeterministicProtocol):
+        # A randomized latency is a random variable, not a property of the
+        # pattern: there is no single worst run to return.
+        raise TypeError(
+            f"expected a DeterministicProtocol, got {type(protocol).__name__}"
+        )
     k, n = validate_k_n(k, n)
     gen = as_generator(rng)
     candidates: List[WakeupPattern] = []
@@ -228,7 +233,7 @@ def worst_case_search(
     for _ in range(trials):
         candidates.append(uniform_random_pattern(n, k, window=window, rng=gen))
 
-    batch = run_deterministic_batch(protocol, candidates, max_slots=max_slots)
+    batch = run_batch(protocol, candidates, max_slots=max_slots)
     # Unsolved rows count as max_slots; ties keep the earliest candidate,
     # matching the sequential search this replaced.
     effective = np.where(batch.solved, batch.latency, max_slots)

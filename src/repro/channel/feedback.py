@@ -71,7 +71,7 @@ OUTCOME_CODES = {
 def signal_table(model: "FeedbackModel") -> np.ndarray:
     """Tabulate a feedback model as an int8 array ``lut[outcome, transmitted]``.
 
-    The batched feedback engine (:func:`repro.engine.run_feedback_batch`)
+    The batched feedback engine (:mod:`repro.engine.feedback_batch`)
     resolves one slot for B patterns at a time; translating the per-row slot
     outcome into per-station signals through :meth:`FeedbackModel.observe`
     station by station would reintroduce the scalar loop.  Because every

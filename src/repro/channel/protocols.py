@@ -17,7 +17,7 @@ Two kinds of protocols exist in the paper's landscape:
   policies (no feedback dependence) expose their probabilities as a matrix
   over ``(station, slot)`` via :meth:`RandomizedPolicy.transmit_probability_matrix`,
   which is the query the batched randomized engine
-  (:func:`repro.engine.run_randomized_batch`) issues once per chunk;
+  (:func:`repro.engine.run_batch`) issues once per chunk;
   feedback-driven policies declare :attr:`RandomizedPolicy.feedback_driven`
   and are resolved slot by slot instead.
 
@@ -175,7 +175,7 @@ class RandomizedPolicy(ABC):
     Oblivious policies — probability a function of ``(station, wake_time,
     slot)`` only — *should* override :meth:`transmit_probability_matrix` with
     a closed-form vectorized implementation when used at scale; it is the
-    query the batched randomized engine (:func:`repro.engine.run_randomized_batch`)
+    query the batched randomized engine (:func:`repro.engine.run_batch`)
     issues once per chunk.  Policies whose probabilities react to channel
     feedback must carry :attr:`feedback_driven` (set automatically for
     subclasses that override :meth:`observe`), which makes the batch engine
@@ -235,7 +235,7 @@ class RandomizedPolicy(ABC):
     ) -> np.ndarray:
         """Transmit probabilities for many ``(station, wake_time)`` pairs at once.
 
-        The batched randomized engine (:func:`repro.engine.run_randomized_batch`)
+        The batched randomized engine (:func:`repro.engine.run_batch`)
         resolves B patterns in one chunked scan; this is the query it issues
         per chunk.  ``stations`` and ``wakes`` are aligned int arrays
         describing the pairs; the window ``[start, stop)`` is shared by all of
@@ -299,7 +299,7 @@ class FeedbackVectorizedPolicy(ABC):
     probability matrix — each slot's decisions depend on the previous slots'
     outcomes.  They *can* still be batched across patterns, because one
     pattern's state never influences another's: the engine
-    (:func:`repro.engine.run_feedback_batch`) advances B patterns one slot at
+    (:mod:`repro.engine.feedback_batch`) advances B patterns one slot at
     a time, and this mixin is the per-slot vectorized query surface it uses
     instead of per-station :class:`StationState` dicts.
 

@@ -13,8 +13,8 @@ semantics (a slot succeeds iff exactly one awake station transmits):
 
 * :func:`run_randomized` — a slot-by-slot loop for randomized policies, which
   may be feedback-driven.  It is the *reference* engine: the batched
-  randomized engine (:func:`repro.engine.run_randomized_batch`) reproduces
-  its outcomes bit for bit given the same per-pattern generators, and the
+  engine (:func:`repro.engine.run_batch`) reproduces its outcomes bit for
+  bit given the same per-pattern generators, and the
   property suite holds the two to that contract.
 
 Both return a :class:`WakeupResult`; the equivalence of the per-pattern and
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
 from repro.channel.trace import ExecutionTrace
 from repro.channel.wakeup import WakeupPattern
 
-__all__ = ["WakeupResult", "Simulator", "run_deterministic", "run_randomized"]
+__all__ = ["WakeupResult", "run_deterministic", "run_randomized"]
 
 #: Default cap on the number of slots simulated after the first wake-up.
 DEFAULT_MAX_SLOTS = 2_000_000
@@ -250,7 +250,7 @@ def run_randomized(
 
     The per-slot draw discipline — slots ascending, stations in pattern
     order, one uniform per awake station with positive probability — is a
-    compatibility contract: :func:`repro.engine.run_randomized_batch`
+    compatibility contract: :func:`repro.engine.run_batch`
     consumes generators in exactly this order so batches reproduce these
     outcomes bit for bit.
     """
@@ -336,51 +336,3 @@ def run_randomized(
         protocol=policy.describe(),
         trace=channel.trace if record_trace else None,
     )
-
-
-@dataclass
-class Simulator:
-    """Convenience façade bundling simulation options.
-
-    Examples
-    --------
-    >>> from repro.core.round_robin import RoundRobin
-    >>> from repro.channel import WakeupPattern
-    >>> sim = Simulator(max_slots=10_000)
-    >>> result = sim.run(RoundRobin(16), WakeupPattern(16, {5: 0, 9: 3}))
-    >>> result.solved
-    True
-    """
-
-    max_slots: int = DEFAULT_MAX_SLOTS
-    chunk: int = DEFAULT_CHUNK
-    record_trace: bool = False
-    feedback: Optional[FeedbackModel] = None
-    rng: RngLike = None
-
-    def run(self, protocol, pattern: WakeupPattern) -> WakeupResult:
-        """Run either kind of protocol, dispatching on its type."""
-        if isinstance(protocol, DeterministicProtocol):
-            return run_deterministic(
-                protocol,
-                pattern,
-                max_slots=self.max_slots,
-                chunk=self.chunk,
-                record_trace=self.record_trace,
-            )
-        if isinstance(protocol, RandomizedPolicy):
-            return run_randomized(
-                protocol,
-                pattern,
-                rng=self.rng,
-                max_slots=self.max_slots,
-                feedback=self.feedback,
-                record_trace=self.record_trace,
-            )
-        raise TypeError(
-            f"expected a DeterministicProtocol or RandomizedPolicy, got {type(protocol).__name__}"
-        )
-
-    def run_many(self, protocol, patterns) -> List[WakeupResult]:
-        """Run the same protocol against a list of patterns."""
-        return [self.run(protocol, p) for p in patterns]

@@ -131,9 +131,9 @@ from repro.channel.adversary import (
     uniform_random_pattern,
 )
 from repro.channel.simulator import run_deterministic, run_randomized
-from repro.channel.protocols import DeterministicProtocol
+from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
 from repro.core.lower_bounds import bound_table
-from repro.engine import Campaign
+from repro.engine import run_batch
 from repro.core.matrix_search import find_waking_matrix_seed
 from repro.experiments.campaign import (
     MANIFEST_NAME,
@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     wl.add_argument("--samples", type=int, default=3, help="patterns printed by `sample`")
     wl.add_argument("--seed", type=int, default=0, help="base seed (batches are reproducible)")
     wl.add_argument("--max-slots", type=int, default=1_000_000)
-    wl.add_argument("--shard-size", type=int, default=256, help="patterns per campaign shard")
 
     sweep = subparsers.add_parser(
         "sweep",
@@ -676,13 +675,8 @@ def _cmd_workloads_inner(args: argparse.Namespace) -> int:
     patterns = suite.generate(
         args.workload, n=args.n, k=args.k, batch=args.batch, seed=args.seed
     )
-    campaign = Campaign(
-        protocol,
-        max_slots=args.max_slots,
-        shard_size=args.shard_size,
-        seed=args.seed,
-    )
-    result = campaign.run(patterns)
+    seed = args.seed if isinstance(protocol, RandomizedPolicy) else None
+    result = run_batch(protocol, patterns, seed=seed, max_slots=args.max_slots)
     print(f"protocol: {protocol.describe()}")
     print(
         f"workload: {args.workload} (n={args.n}, k={args.k}, batch={args.batch}, "
@@ -1026,6 +1020,7 @@ def _cmd_service(args: argparse.Namespace) -> int:
         fields = ("store", "records", "requests", "hits", "misses", "inflight", "workers")
         for field in fields:
             print(f"{field:<9}: {status.get(field)}")
+        print(f"restarts : {status.get('pool_restarts')} (worker pool)")
         print(f"uptime   : {status.get('uptime_s')}s (pid {status.get('pid')})")
         return 0
 

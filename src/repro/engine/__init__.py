@@ -3,39 +3,40 @@
 All bounds in the paper are worst-case over the adversary's choice of wake-up
 pattern, so empirical confidence scales with how many patterns the harness
 can push through the channel simulator.  This package is the batch-execution
-layer on top of :mod:`repro.channel`, with **one** chunked-scan core shared
-by both protocol kinds:
+layer on top of :mod:`repro.channel`, with **one** entry point for every
+protocol kind:
 
-* :func:`~repro.engine.batch.run_deterministic_batch` — one vectorized
-  chunked scan resolving B patterns (2-D transmit-count accumulation,
-  per-row first-success extraction).  Every deterministic protocol family in
-  the library answers its per-chunk ``batch_transmit_slots`` query natively:
-  periodic schedules (round-robin, TDMA), family schedules and their cyclic /
-  interleaved combinators (scenarios A and B, Komlós–Greenberg), and the
-  Scenario C waking-matrix protocols (global- and local-clock) via one
-  batched
-  :meth:`~repro.core.waking_matrix.TransmissionMatrix.membership_for_pairs`
-  hash evaluation; only ad-hoc user protocols fall back to the pair-by-pair
-  loop;
-* :func:`~repro.engine.batch.run_randomized_batch` — the same scan fed by
-  Bernoulli samples over each policy's
-  :meth:`~repro.channel.protocols.RandomizedPolicy.transmit_probability_matrix`,
-  one ``SeedSequence``-spawned child generator per pattern (bit-for-bit
-  identical to the slot-loop engine given the same generators);
-* :func:`~repro.engine.feedback_batch.run_feedback_batch` — the
-  feedback-driven third engine: policies whose decisions react to channel
-  signals (binary exponential backoff, tree splitting) advance B patterns
-  *per slot* with vectorized state arrays through the
-  :class:`~repro.channel.protocols.FeedbackVectorizedPolicy` surface, again
-  bit-for-bit identical to the slot loop under matched per-pattern streams
-  (``run_randomized_batch`` dispatches to it automatically; feedback-driven
-  policies without the surface fall back to the slot loop per pattern);
+* :func:`~repro.engine.batch.run_batch` — checks the protocol kind and the
+  universe size, spawns one ``SeedSequence`` child generator per pattern for
+  randomized policies, cuts the batch into fixed blocks of
+  :data:`~repro.engine.batch.SCAN_BLOCK_ROWS` patterns and resolves each
+  block with the scan for the protocol's kind:
+
+  - deterministic protocols: one vectorized chunked scan (2-D
+    transmit-count accumulation, per-row first-success extraction) over
+    each protocol's native per-chunk ``batch_transmit_slots`` query —
+    periodic schedules (round-robin, TDMA), family schedules and their
+    cyclic / interleaved combinators (scenarios A and B, Komlós–Greenberg),
+    and the Scenario C waking-matrix protocols via one batched
+    :meth:`~repro.core.waking_matrix.TransmissionMatrix.membership_for_pairs`
+    hash evaluation; only ad-hoc user protocols fall back to the
+    pair-by-pair loop;
+  - oblivious randomized policies: the same scan fed by Bernoulli samples
+    over each policy's
+    :meth:`~repro.channel.protocols.RandomizedPolicy.transmit_probability_matrix`;
+  - feedback-driven policies (binary exponential backoff, tree splitting):
+    the slot-synchronous scan of :mod:`repro.engine.feedback_batch`, which
+    advances a block per slot with vectorized state arrays through the
+    :class:`~repro.channel.protocols.FeedbackVectorizedPolicy` surface
+    (policies without it fall back to the slot loop per pattern).
+
+  Randomized outcomes are bit-for-bit those of the slot-loop engine given
+  the same per-pattern generators;
 * :class:`~repro.engine.batch.BatchResult` — column-oriented results with
   summary statistics, convertible row-by-row to
   :class:`~repro.channel.simulator.WakeupResult`;
-* :class:`~repro.engine.campaign.Campaign` — cuts large pattern sets into
-  shards resolved serially through a single engine dispatch, with
-  :class:`~repro.experiments.cache.FamilyCache` integration.
+* :class:`~repro.engine.campaign.Campaign` — ``run_batch`` with its
+  protocol, horizon and seed bound; kept for the end-to-end benchmark only.
 
 The scenario generators that feed this engine live in
 :mod:`repro.workloads`; the layer above it — whole config grids sharded
@@ -43,20 +44,7 @@ across worker *processes*, with an on-disk resumable store — is
 :mod:`repro.sweeps`.
 """
 
-from repro.engine.batch import (
-    BatchResult,
-    run_batch,
-    run_deterministic_batch,
-    run_randomized_batch,
-)
+from repro.engine.batch import BatchResult, run_batch
 from repro.engine.campaign import Campaign
-from repro.engine.feedback_batch import run_feedback_batch
 
-__all__ = [
-    "BatchResult",
-    "run_batch",
-    "run_deterministic_batch",
-    "run_randomized_batch",
-    "run_feedback_batch",
-    "Campaign",
-]
+__all__ = ["BatchResult", "run_batch", "Campaign"]

@@ -5,11 +5,12 @@ pattern per call; every empirical estimate in the library is a maximum (or
 mean) over *many* patterns, so the per-call Python overhead — one
 :func:`numpy.add.at` per awake station per chunk for deterministic protocols,
 one ``transmit_probability`` call per awake station per *slot* for randomized
-policies — dominates at scale.  This module batches B patterns into a single
-chunked scan shared by both protocol kinds:
+policies — dominates at scale.  :func:`run_batch`, the engine's one entry
+point, resolves a whole batch against either protocol kind:
 
-1. every ``(pattern, station, wake_time)`` triple is flattened into aligned
-   *pair* arrays;
+1. the batch is cut into fixed blocks of :data:`SCAN_BLOCK_ROWS` patterns, and
+   every ``(pattern, station, wake_time)`` triple of a block is flattened into
+   aligned *pair* arrays;
 2. per chunk of the shared absolute timeline, one vectorized query yields the
    transmit events of all pairs at once —
    :meth:`~repro.channel.protocols.DeterministicProtocol.batch_transmit_slots`
@@ -23,24 +24,28 @@ chunked scan shared by both protocol kinds:
 4. resolved rows drop out of subsequent chunks, so the scan cost tracks the
    *unsolved* rows only.
 
+Feedback-driven policies take the slot-synchronous scan of
+:mod:`repro.engine.feedback_batch` instead (or the slot loop, if they lack
+its vectorized surface).
+
 The results are identical — same ``solved``/``success_slot``/``winner``/
 ``latency`` per pattern — to running the per-pattern engine pattern by
-pattern.  For :func:`run_deterministic_batch` this is structural; for
-:func:`run_randomized_batch` it holds *bit for bit* given the same per-pattern
-child generators, because the batch consumes each pattern's stream in exactly
-the slot-loop's order: slots ascending, stations in pattern order within a
-slot, one uniform draw per awake station with positive probability.  The
-property suite in ``tests/properties`` asserts both equivalences slot for
-slot; only the diagnostic ``slots_examined`` of the deterministic batch
-differs, because the batch scan shares chunk boundaries across rows.
+pattern.  For deterministic protocols this is structural; for randomized
+policies it holds *bit for bit* given the same per-pattern child generators,
+because a scan consumes each pattern's stream in exactly the slot-loop's
+order: slots ascending, stations in pattern order within a slot, one uniform
+draw per awake station with positive probability.  The property suite in
+``tests/properties`` asserts both equivalences slot for slot; only the
+diagnostic ``slots_examined`` of a deterministic batch differs, because rows
+of one block share chunk boundaries.
 
 Example
 -------
 >>> from repro.core.round_robin import RoundRobin
 >>> from repro.channel.wakeup import WakeupPattern
->>> from repro.engine import run_deterministic_batch
+>>> from repro.engine import run_batch
 >>> patterns = [WakeupPattern(16, {5: 0, 9: 3}), WakeupPattern(16, {2: 1, 3: 1})]
->>> result = run_deterministic_batch(RoundRobin(16), patterns)
+>>> result = run_batch(RoundRobin(16), patterns)
 >>> bool(result.solved.all()), result.latency.tolist()
 (True, [4, 0])
 """
@@ -61,15 +66,21 @@ from repro.channel.protocols import (
 )
 from repro.channel.simulator import DEFAULT_MAX_SLOTS, WakeupResult, run_randomized
 from repro.channel.wakeup import WakeupPattern
+from repro.engine.feedback_batch import _feedback_scan
 
 __all__ = [
     "BatchResult",
     "run_batch",
-    "run_deterministic_batch",
-    "run_randomized_batch",
+    "SCAN_BLOCK_ROWS",
     "DEFAULT_BATCH_CHUNK",
     "DEFAULT_RANDOMIZED_CHUNK",
 ]
+
+#: Patterns resolved together by one scan.  Fixed, not an option: a
+#: deterministic row's ``slots_examined`` is the window its block co-scanned
+#: (the chunk length is capped by the block's active rows), and every stored
+#: sweep record holds that column, so changing the block changes stored bytes.
+SCAN_BLOCK_ROWS = 256
 
 #: Initial chunk length of the shared batch scan.  Smaller than the
 #: per-pattern engine's default because the per-chunk fixed cost is amortized
@@ -83,10 +94,6 @@ DEFAULT_BATCH_CHUNK = 128
 #: slot; pathological batches still grow geometrically.  Chunk layout never
 #: affects outcomes — only wasted work.
 DEFAULT_RANDOMIZED_CHUNK = 16
-
-#: Cap on rows × slots examined per chunk (bounds the bincount working set);
-#: shared with the waking-matrix geometry enumerations via repro._util.
-_MAX_CELLS_PER_CHUNK = MAX_CELLS_PER_CHUNK
 
 #: Cap on the geometric chunk growth, matching the per-pattern engine.
 _MAX_CHUNK = 1 << 20
@@ -114,8 +121,9 @@ class BatchResult:
         Per-row outcome columns (``-1`` where unsolved).
     slots_examined:
         Per-row count of slots the engine examined.  For deterministic
-        batches this is the shared scan's window (diagnostic; chunk-layout
-        dependent, unlike the outcome columns); for randomized batches it
+        batches this is the window the row's scan block co-scanned
+        (diagnostic; block- and chunk-layout dependent, unlike the outcome
+        columns); for randomized batches it
         matches the slot-loop engine exactly (``latency + 1`` when solved,
         the full horizon otherwise).
     """
@@ -204,45 +212,14 @@ class BatchResult:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def from_results(
-        cls, results: Sequence[WakeupResult], *, protocol: str, n: int
-    ) -> "BatchResult":
-        """Assemble per-pattern :class:`WakeupResult` rows into columns.
-
-        Used by the randomized engine's feedback-driven path (which resolves
-        patterns through the slot-loop reference engine) and by anything else
-        that needs to lift scalar results into the columnar representation.
-        """
-        results = list(results)
-        return cls(
-            protocol=protocol,
-            n=n,
-            solved=np.asarray([r.solved for r in results], dtype=bool),
-            k=np.asarray([r.k for r in results], dtype=np.int64),
-            first_wake=np.asarray([r.first_wake for r in results], dtype=np.int64),
-            success_slot=np.asarray(
-                [-1 if r.success_slot is None else r.success_slot for r in results],
-                dtype=np.int64,
-            ),
-            winner=np.asarray(
-                [-1 if r.winner is None else r.winner for r in results], dtype=np.int64
-            ),
-            latency=np.asarray(
-                [-1 if r.latency is None else r.latency for r in results], dtype=np.int64
-            ),
-            slots_examined=np.asarray(
-                [r.slots_examined for r in results], dtype=np.int64
-            ),
-        )
-
-    @classmethod
     def empty(cls, protocol) -> "BatchResult":
         """Zero-row result for any protocol kind (``.describe()`` and ``.n``)."""
-        return cls.from_results([], protocol=protocol.describe(), n=protocol.n)
+        none = np.empty(0, dtype=np.int64)
+        return cls(protocol.describe(), protocol.n, np.empty(0, dtype=bool), *[none] * 6)
 
     @classmethod
     def concat(cls, results: Sequence["BatchResult"]) -> "BatchResult":
-        """Concatenate shard results (in order) into one batch result."""
+        """Concatenate block results (in order) into one batch result."""
         if not results:
             raise ValueError("cannot concatenate an empty sequence of BatchResults")
         first = results[0]
@@ -310,35 +287,89 @@ class _ScanScratch:
             self.reused_bytes += self._fixed_bytes + self._singles.nbytes
 
 
-def _flatten_patterns(
-    patterns: Sequence[WakeupPattern],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten (row, station, wake) triples into aligned pair arrays.
+@dataclass(frozen=True)
+class _Rows:
+    """One block of patterns, flattened into the arrays every scan consumes.
 
-    Pairs are emitted row-major and, within a row, in the pattern's own
-    station order — the order the slot-loop engine iterates stations in,
-    which the randomized engine's draw discipline relies on.
+    ``pair_row``/``pair_station``/``pair_wake`` hold one entry per
+    ``(pattern, station, wake_time)`` triple, row-major and, within a row, in
+    the pattern's own station order — the order the slot-loop engine iterates
+    stations in, which the randomized draw discipline relies on.  ``k``,
+    ``first_wake`` and ``horizon`` are per-row columns; ``generators`` holds
+    each row's stream for randomized policies (deterministic scans ignore
+    it).
     """
+
+    patterns: List[WakeupPattern]
+    generators: Optional[List[np.random.Generator]]
+    max_slots: int
+    pair_row: np.ndarray
+    pair_station: np.ndarray
+    pair_wake: np.ndarray
+    k: np.ndarray
+    first_wake: np.ndarray
+    horizon: np.ndarray
+
+    def result(
+        self,
+        protocol,
+        solved: np.ndarray,
+        success_slot: np.ndarray,
+        winner: np.ndarray,
+        latency: np.ndarray,
+        slots_examined: Optional[np.ndarray] = None,
+    ) -> "BatchResult":
+        """Assemble a scan's outcome columns into this block's result.
+
+        ``slots_examined`` defaults to the slot loop's accounting — a solved
+        run examines ``latency + 1`` slots, an unsolved run the full horizon —
+        which the randomized scans match exactly.
+        """
+        if slots_examined is None:
+            slots_examined = np.where(solved, latency + 1, np.int64(self.max_slots))
+        return BatchResult(
+            protocol=protocol.describe(),
+            n=protocol.n,
+            solved=solved,
+            k=self.k,
+            first_wake=self.first_wake,
+            success_slot=success_slot,
+            winner=winner,
+            latency=latency,
+            slots_examined=slots_examined,
+        )
+
+
+def _flatten_patterns(
+    patterns: List[WakeupPattern],
+    max_slots: int = DEFAULT_MAX_SLOTS,
+    generators: Optional[List[np.random.Generator]] = None,
+) -> _Rows:
+    """Flatten a (non-empty) block of patterns for the scans."""
     B = len(patterns)
-    counts = np.fromiter((p.k for p in patterns), dtype=np.int64, count=B)
-    pair_row = np.repeat(np.arange(B, dtype=np.int64), counts)
-    pair_station = np.concatenate(
-        [np.fromiter(p.wake_times.keys(), np.int64, p.k) for p in patterns]
+    k = np.fromiter((p.k for p in patterns), dtype=np.int64, count=B)
+    first_wake = np.fromiter((p.first_wake for p in patterns), dtype=np.int64, count=B)
+    return _Rows(
+        patterns=patterns,
+        generators=generators,
+        max_slots=int(max_slots),
+        pair_row=np.repeat(np.arange(B, dtype=np.int64), k),
+        pair_station=np.concatenate(
+            [np.fromiter(p.wake_times.keys(), np.int64, p.k) for p in patterns]
+        ),
+        pair_wake=np.concatenate(
+            [np.fromiter(p.wake_times.values(), np.int64, p.k) for p in patterns]
+        ),
+        k=k,
+        first_wake=first_wake,
+        horizon=first_wake + int(max_slots),
     )
-    pair_wake = np.concatenate(
-        [np.fromiter(p.wake_times.values(), np.int64, p.k) for p in patterns]
-    )
-    return pair_row, pair_station, pair_wake
 
 
 def _chunked_first_success_scan(
-    *,
+    rows: _Rows,
     emit: Callable[[np.ndarray, int, int], Tuple[np.ndarray, np.ndarray]],
-    pair_row: np.ndarray,
-    pair_station: np.ndarray,
-    pair_wake: np.ndarray,
-    first_wake: np.ndarray,
-    horizon: np.ndarray,
+    *,
     chunk: int,
     cost_per_pair: bool = False,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -346,21 +377,22 @@ def _chunked_first_success_scan(
 
     ``emit(live_pairs, chunk_start, chunk_stop)`` produces the transmit events
     of the given pairs within the chunk as two aligned int64 arrays
-    ``(pair_index, slots)`` — ``pair_index`` into the *global* pair arrays —
+    ``(pair_index, slots)`` — ``pair_index`` into the block's pair arrays —
     with each (pair, slot) combination appearing at most once.  Everything
     else (2-D transmit counts, per-row first-success extraction, winner
     recovery, horizon bookkeeping, chunk growth) is shared by the
-    deterministic and randomized engines.
+    deterministic and randomized scans.
 
     ``cost_per_pair`` switches the chunk-length cap from rows × slots to
-    pairs × slots — the randomized engine materializes a dense probability
+    pairs × slots — the randomized scan materializes a dense probability
     matrix over live pairs, so its working set scales with pairs.
 
     Returns ``(solved, success_slot, winner, latency, slots_examined)``
     columns; ``slots_examined`` accounts the scanned window per row (the
-    deterministic diagnostic — callers with different conventions overwrite
-    it).
+    deterministic diagnostic — the randomized scan discards it).
     """
+    pair_row, pair_station, pair_wake = rows.pair_row, rows.pair_station, rows.pair_wake
+    first_wake, horizon = rows.first_wake, rows.horizon
     B = int(first_wake.shape[0])
     solved = np.zeros(B, dtype=bool)
     success_slot = np.full(B, -1, dtype=np.int64)
@@ -389,7 +421,7 @@ def _chunked_first_success_scan(
             weight = max(1, pair_done.size - int(np.count_nonzero(pair_done)))
         else:
             weight = A
-        length = min(chunk_len, max(16, _MAX_CELLS_PER_CHUNK // weight))
+        length = min(chunk_len, max(16, MAX_CELLS_PER_CHUNK // weight))
         chunk_stop = min(scan_stop, chunk_start + length)
         length = chunk_stop - chunk_start
 
@@ -471,62 +503,20 @@ def _chunked_first_success_scan(
     return solved, success_slot, winner, latency, slots_examined
 
 
-def _validate_batch(protocol, patterns: Sequence[WakeupPattern]) -> List[WakeupPattern]:
-    patterns = list(patterns)
-    for pattern in patterns:
-        if pattern.n != protocol.n:
-            raise ValueError(
-                f"protocol universe n={protocol.n} does not match pattern n={pattern.n}"
-            )
-    return patterns
-
-
 # ---------------------------------------------------------------------------
-# Deterministic engine
+# Per-kind scans over one flattened block
 # ---------------------------------------------------------------------------
 
 
-def run_deterministic_batch(
-    protocol: DeterministicProtocol,
-    patterns: Sequence[WakeupPattern],
-    *,
-    max_slots: int = DEFAULT_MAX_SLOTS,
-    chunk: int = DEFAULT_BATCH_CHUNK,
+def _deterministic_scan(
+    protocol: DeterministicProtocol, rows: _Rows, *, chunk: int = DEFAULT_BATCH_CHUNK
 ) -> BatchResult:
-    """Resolve B wake-up patterns against one protocol in a single scan.
+    """Resolve one block against a deterministic protocol.
 
-    Parameters
-    ----------
-    protocol:
-        Any :class:`~repro.channel.protocols.DeterministicProtocol` over the
-        same universe size as every pattern.
-    patterns:
-        The batch; rows of the result align with this order.
-    max_slots:
-        Per-row horizon, measured from each row's own first wake-up (the same
-        convention as :func:`~repro.channel.simulator.run_deterministic`).
-    chunk:
-        Initial chunk length of the shared scan; chunks double as the scan
-        advances.
-
-    Returns
-    -------
-    BatchResult
-        Outcome columns identical to running ``run_deterministic`` per
-        pattern.
+    ``chunk`` is the scan's initial chunk length (chunks double as the scan
+    advances); it changes only the diagnostic ``slots_examined``.
     """
-    if not isinstance(protocol, DeterministicProtocol):
-        raise TypeError(
-            f"expected a DeterministicProtocol, got {type(protocol).__name__}"
-        )
-    patterns = _validate_batch(protocol, patterns)
-    if not patterns:
-        return BatchResult.empty(protocol)
-
-    pair_row, pair_station, pair_wake = _flatten_patterns(patterns)
-    k = np.asarray([p.k for p in patterns], dtype=np.int64)
-    first_wake = np.asarray([p.first_wake for p in patterns], dtype=np.int64)
-    horizon = first_wake + int(max_slots)
+    pair_station, pair_wake = rows.pair_station, rows.pair_wake
 
     def emit(live_pairs: np.ndarray, chunk_start: int, chunk_stop: int):
         entry_pair, entry_slot = protocol.batch_transmit_slots(
@@ -534,140 +524,22 @@ def run_deterministic_batch(
         )
         return live_pairs[entry_pair], entry_slot
 
-    solved, success_slot, winner, latency, slots_examined = _chunked_first_success_scan(
-        emit=emit,
-        pair_row=pair_row,
-        pair_station=pair_station,
-        pair_wake=pair_wake,
-        first_wake=first_wake,
-        horizon=horizon,
-        chunk=chunk,
-    )
-
-    return BatchResult(
-        protocol=protocol.describe(),
-        n=protocol.n,
-        solved=solved,
-        k=k,
-        first_wake=first_wake,
-        success_slot=success_slot,
-        winner=winner,
-        latency=latency,
-        slots_examined=slots_examined,
-    )
+    return rows.result(protocol, *_chunked_first_success_scan(rows, emit, chunk=chunk))
 
 
-# ---------------------------------------------------------------------------
-# Randomized engine
-# ---------------------------------------------------------------------------
-
-
-def _resolve_generators(
-    rngs: Optional[Sequence[np.random.Generator]],
-    seed: RngLike,
-    count: int,
-) -> List[np.random.Generator]:
-    if rngs is not None:
-        rngs = list(rngs)
-        if len(rngs) != count:
-            raise ValueError(
-                f"rngs must provide one generator per pattern: got {len(rngs)} "
-                f"for {count} patterns"
-            )
-        return rngs
-    # Same namespace as Campaign's pre-shard spawn, so engine-level and
-    # campaign-level calls with the same seed produce identical outcomes.
-    return spawn_generators(seed, count, "campaign")
-
-
-def run_randomized_batch(
-    policy: RandomizedPolicy,
-    patterns: Sequence[WakeupPattern],
-    *,
-    rngs: Optional[Sequence[np.random.Generator]] = None,
-    seed: RngLike = None,
-    max_slots: int = DEFAULT_MAX_SLOTS,
-    chunk: int = DEFAULT_RANDOMIZED_CHUNK,
+def _randomized_scan(
+    policy: RandomizedPolicy, rows: _Rows, *, chunk: int = DEFAULT_RANDOMIZED_CHUNK
 ) -> BatchResult:
-    """Resolve B wake-up patterns against one randomized policy in one scan.
+    """Resolve one block against an oblivious randomized policy.
 
-    Each pattern's Bernoulli decisions are drawn from its *own* generator —
-    either supplied via ``rngs`` or spawned from ``seed`` with
-    ``SeedSequence.spawn`` (one child per pattern, derived before any
-    chunking) — so pattern ``i``'s outcome is independent of batch size,
-    shard size and chunk layout.  Given the same per-pattern generators the
-    outcome columns are bit-for-bit identical to
-    :func:`~repro.channel.simulator.run_randomized` per pattern: the batch
-    consumes each stream in the slot-loop's exact order (slots ascending,
-    stations in pattern order, one uniform draw per awake station with
-    positive probability).
-
-    Oblivious policies are resolved from their
-    :meth:`~repro.channel.protocols.RandomizedPolicy.transmit_probability_matrix`
-    with the same chunked bincount scan as the deterministic engine;
-    feedback-driven policies
-    (:attr:`~repro.channel.protocols.RandomizedPolicy.feedback_driven`) fall
-    back to the slot-loop reference engine per pattern, preserving their
-    feedback semantics exactly.
-
-    Parameters
-    ----------
-    policy:
-        Any :class:`~repro.channel.protocols.RandomizedPolicy` over the same
-        universe size as every pattern.
-    patterns:
-        The batch; rows of the result align with this order.
-    rngs:
-        Optional per-pattern generators (one per pattern, consumed in order).
-    seed:
-        Base seed used to spawn per-pattern child generators when ``rngs`` is
-        not given; the spawn matches :class:`~repro.engine.campaign.Campaign`.
-    max_slots:
-        Per-row horizon, measured from each row's own first wake-up.
-    chunk:
-        Initial chunk length of the shared scan; chunks double as the scan
-        advances.
-
-    Returns
-    -------
-    BatchResult
-        Outcome columns identical to running ``run_randomized`` per pattern
-        with the same generators (including ``slots_examined``).
+    The same chunked scan as the deterministic kind, fed by Bernoulli samples
+    over :meth:`~repro.channel.protocols.RandomizedPolicy.transmit_probability_matrix`,
+    each row drawing from its own generator in the slot loop's order, so the
+    outcome columns (``slots_examined`` included) do not depend on ``chunk``.
     """
-    if not isinstance(policy, RandomizedPolicy):
-        raise TypeError(f"expected a RandomizedPolicy, got {type(policy).__name__}")
-    patterns = _validate_batch(policy, patterns)
-    if not patterns:
-        return BatchResult.empty(policy)
-    generators = _resolve_generators(rngs, seed, len(patterns))
-
-    if policy.feedback_driven:
-        # Probabilities react to channel signals, so slots cannot be sampled
-        # ahead of the outcomes they depend on.  Policies implementing the
-        # vectorized feedback surface are advanced slot-synchronously across
-        # all patterns at once; anything else falls back to the slot-loop
-        # reference engine, one pattern and child generator at a time.
-        # Either path yields bit-for-bit the same outcomes.
-        if isinstance(policy, FeedbackVectorizedPolicy) and policy.feedback_vectorized:
-            from repro.engine.feedback_batch import run_feedback_batch
-
-            return run_feedback_batch(
-                policy, patterns, rngs=generators, max_slots=max_slots
-            )
-        return BatchResult.from_results(
-            [
-                run_randomized(policy, pattern, rng=gen, max_slots=max_slots)
-                for pattern, gen in zip(patterns, generators)
-            ],
-            protocol=policy.describe(),
-            n=policy.n,
-        )
-
-    B = len(patterns)
-    pair_row, pair_station, pair_wake = _flatten_patterns(patterns)
-    k = np.asarray([p.k for p in patterns], dtype=np.int64)
-    first_wake = np.asarray([p.first_wake for p in patterns], dtype=np.int64)
-    horizon = first_wake + int(max_slots)
+    B = len(rows.patterns)
+    pair_row, pair_station, pair_wake = rows.pair_row, rows.pair_station, rows.pair_wake
+    horizon, generators = rows.horizon, rows.generators
 
     def emit(live_pairs: np.ndarray, chunk_start: int, chunk_stop: int):
         slots = np.arange(chunk_start, chunk_stop, dtype=np.int64)
@@ -757,31 +629,32 @@ def run_randomized_batch(
         return live_pairs[cell_pos[hits]], chunk_start + cell_slot[hits]
 
     solved, success_slot, winner, latency, _ = _chunked_first_success_scan(
-        emit=emit,
-        pair_row=pair_row,
-        pair_station=pair_station,
-        pair_wake=pair_wake,
-        first_wake=first_wake,
-        horizon=horizon,
-        chunk=chunk,
-        cost_per_pair=True,
+        rows, emit, chunk=chunk, cost_per_pair=True
     )
+    return rows.result(policy, solved, success_slot, winner, latency)
 
-    # Match the slot-loop engine's accounting exactly: a solved run examines
-    # latency + 1 slots, an unsolved run the full horizon.
-    slots_examined = np.where(solved, latency + 1, np.int64(max_slots))
 
-    return BatchResult(
-        protocol=policy.describe(),
-        n=policy.n,
-        solved=solved,
-        k=k,
-        first_wake=first_wake,
-        success_slot=success_slot,
-        winner=winner,
-        latency=latency,
-        slots_examined=slots_examined,
-    )
+def _slot_loop_scan(policy: RandomizedPolicy, rows: _Rows) -> BatchResult:
+    """Resolve one block through the slot-loop reference engine, row by row.
+
+    The fallback for feedback-driven policies without the vectorized
+    feedback surface: their probabilities react to channel signals, so slots
+    cannot be sampled ahead of the outcomes they depend on.
+    """
+    results = [
+        run_randomized(policy, pattern, rng=gen, max_slots=rows.max_slots)
+        for pattern, gen in zip(rows.patterns, rows.generators)
+    ]
+    solved = np.array([r.solved for r in results], dtype=bool)
+    latency = np.array([r.latency if r.solved else -1 for r in results], dtype=np.int64)
+    winner = np.array([r.winner if r.solved else -1 for r in results], dtype=np.int64)
+    success_slot = np.where(solved, rows.first_wake + latency, -1)
+    return rows.result(policy, solved, success_slot, winner, latency)
+
+
+# ---------------------------------------------------------------------------
+# The entry point
+# ---------------------------------------------------------------------------
 
 
 def run_batch(
@@ -791,23 +664,47 @@ def run_batch(
     rngs: Optional[Sequence[np.random.Generator]] = None,
     seed: RngLike = None,
     max_slots: int = DEFAULT_MAX_SLOTS,
-    chunk: Optional[int] = None,
 ) -> BatchResult:
-    """Resolve B patterns against *any* protocol kind in one batched call.
+    """Resolve B wake-up patterns against one protocol of any kind.
 
-    The kind-agnostic front door of the batch layer: deterministic protocols
-    dispatch to :func:`run_deterministic_batch`, randomized policies to
-    :func:`run_randomized_batch` (which in turn routes feedback-driven
-    vectorized policies to the slot-synchronous feedback engine).  Callers
-    that receive a protocol from the name registry
-    (:func:`repro.sweeps.protocols.build_protocol`) — the sweep workers, the
-    guided adversarial search — use this instead of branching on the type
-    themselves.
+    The engine's one entry point.  It checks the protocol kind and the
+    universe size, spawns the per-pattern streams of randomized policies,
+    cuts the batch into blocks of :data:`SCAN_BLOCK_ROWS` patterns, resolves
+    each block with the scan for the protocol's kind — the chunked scan for
+    deterministic protocols and oblivious randomized policies, the
+    slot-synchronous scan of :mod:`repro.engine.feedback_batch` for
+    feedback-driven policies with the vectorized feedback surface, the slot
+    loop for any other feedback-driven policy — and returns the blocks'
+    columns in input order.
 
-    ``rngs``/``seed`` feed the per-pattern streams of randomized policies and
-    must be omitted for deterministic protocols (a deterministic run consumes
-    no randomness; passing streams it would silently drop is almost certainly
-    a caller bug).  ``chunk=None`` defers to each engine's own default.
+    Parameters
+    ----------
+    protocol:
+        A :class:`~repro.channel.protocols.DeterministicProtocol` or a
+        :class:`~repro.channel.protocols.RandomizedPolicy` over the same
+        universe size as every pattern.
+    patterns:
+        The batch; rows of the result align with this order.
+    rngs, seed:
+        Per-pattern streams of a randomized policy: either ``rngs`` (one
+        generator per pattern, consumed in order) or ``seed``, from which one
+        child generator per pattern is spawned under the ``"campaign"`` key
+        before the batch is cut, so pattern ``i``'s outcome depends on
+        neither the batch size nor the block layout.  Passing both is an
+        error, and so is passing either for a deterministic protocol (it
+        consumes no randomness, so the streams would be silently dropped).
+    max_slots:
+        Per-row horizon, measured from each row's own first wake-up (the same
+        convention as the per-pattern engines).
+
+    Returns
+    -------
+    BatchResult
+        Outcome columns identical to running
+        :func:`~repro.channel.simulator.run_deterministic` or
+        :func:`~repro.channel.simulator.run_randomized` per pattern (with the
+        same generators); for randomized policies ``slots_examined`` matches
+        too.
     """
     if isinstance(protocol, DeterministicProtocol):
         if rngs is not None or seed is not None:
@@ -815,22 +712,46 @@ def run_batch(
                 f"{type(protocol).__name__} is deterministic: it consumes no "
                 "randomness, so rngs/seed must not be passed"
             )
-        return run_deterministic_batch(
-            protocol,
-            patterns,
-            max_slots=max_slots,
-            chunk=DEFAULT_BATCH_CHUNK if chunk is None else chunk,
+        scan = _deterministic_scan
+    elif isinstance(protocol, RandomizedPolicy):
+        if rngs is not None and seed is not None:
+            raise ValueError(
+                "pass either rngs or seed, not both: rngs already fixes every "
+                "pattern's stream, so seed would be silently dropped"
+            )
+        if not protocol.feedback_driven:
+            scan = _randomized_scan
+        elif (
+            isinstance(protocol, FeedbackVectorizedPolicy)
+            and protocol.feedback_vectorized
+        ):
+            scan = _feedback_scan
+        else:
+            scan = _slot_loop_scan
+    else:
+        raise TypeError(
+            "expected a DeterministicProtocol or RandomizedPolicy, got "
+            f"{type(protocol).__name__}"
         )
-    if isinstance(protocol, RandomizedPolicy):
-        return run_randomized_batch(
-            protocol,
-            patterns,
-            rngs=rngs,
-            seed=seed,
-            max_slots=max_slots,
-            chunk=DEFAULT_RANDOMIZED_CHUNK if chunk is None else chunk,
+    patterns = list(patterns)
+    for pattern in patterns:
+        if pattern.n != protocol.n:
+            raise ValueError(
+                f"protocol universe n={protocol.n} does not match pattern n={pattern.n}"
+            )
+    if not patterns:
+        return BatchResult.empty(protocol)
+    if isinstance(protocol, RandomizedPolicy) and rngs is None:
+        rngs = spawn_generators(seed, len(patterns), "campaign")
+    streams = [None] * len(patterns) if rngs is None else list(rngs)
+    if len(streams) != len(patterns):
+        raise ValueError(
+            f"rngs must provide one generator per pattern: got {len(streams)} "
+            f"for {len(patterns)} patterns"
         )
-    raise TypeError(
-        "expected a DeterministicProtocol or RandomizedPolicy, got "
-        f"{type(protocol).__name__}"
-    )
+    blocks = []
+    for start in range(0, len(patterns), SCAN_BLOCK_ROWS):
+        stop = start + SCAN_BLOCK_ROWS
+        rows = _flatten_patterns(patterns[start:stop], max_slots, streams[start:stop])
+        blocks.append(scan(protocol, rows))
+    return blocks[0] if len(blocks) == 1 else BatchResult.concat(blocks)

@@ -34,36 +34,37 @@ vectorized surface covers 0/1-probability policies), then the observe draws
 ``tests/properties/test_property_feedback_engine.py`` holds the engine to
 this contract.
 
+:func:`~repro.engine.batch.run_batch` routes every feedback-driven policy
+that implements the vectorized surface here, one block of patterns at a time.
+
 Example
 -------
 >>> from repro.baselines import TreeSplitting
 >>> from repro.channel.wakeup import WakeupPattern
->>> from repro.engine import run_feedback_batch
+>>> from repro.engine import run_batch
 >>> patterns = [WakeupPattern(8, {1: 0, 2: 0}), WakeupPattern(8, {5: 1})]
->>> result = run_feedback_batch(TreeSplitting(8), patterns, seed=0)
+>>> result = run_batch(TreeSplitting(8), patterns, seed=0)
 >>> bool(result.solved.all())
 True
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro import obs
-from repro.channel.feedback import FeedbackModel, signal_table
-from repro.channel.protocols import FeedbackVectorizedPolicy, RandomizedPolicy
-from repro.channel.simulator import DEFAULT_MAX_SLOTS
-from repro.channel.wakeup import WakeupPattern
-from repro.engine.batch import (
-    BatchResult,
-    _flatten_patterns,
-    _resolve_generators,
-    _validate_batch,
+from repro.channel.feedback import (
+    CollisionDetection,
+    FeedbackModel,
+    NoCollisionDetection,
+    signal_table,
 )
+from repro.channel.protocols import FeedbackVectorizedPolicy
 
-__all__ = ["run_feedback_batch"]
+if TYPE_CHECKING:
+    from repro.engine.batch import BatchResult, _Rows
 
 
 def _make_row_draw(generators: List[np.random.Generator], pair_row: np.ndarray):
@@ -90,65 +91,22 @@ def _make_row_draw(generators: List[np.random.Generator], pair_row: np.ndarray):
     return draw
 
 
-def run_feedback_batch(
-    policy: RandomizedPolicy,
-    patterns: Sequence[WakeupPattern],
+def _feedback_scan(
+    policy: FeedbackVectorizedPolicy,
+    rows: _Rows,
     *,
-    rngs: Optional[Sequence[np.random.Generator]] = None,
-    seed=None,
-    max_slots: int = DEFAULT_MAX_SLOTS,
     feedback: Optional[FeedbackModel] = None,
 ) -> BatchResult:
-    """Resolve B patterns against one feedback-driven policy, slot-synchronously.
+    """Resolve one block against a feedback-driven policy, slot-synchronously.
 
-    Parameters
-    ----------
-    policy:
-        A :class:`~repro.channel.protocols.RandomizedPolicy` that implements
-        the :class:`~repro.channel.protocols.FeedbackVectorizedPolicy`
-        surface (and has not had it disabled by the subclass guard).
-    patterns:
-        The batch; rows of the result align with this order.
-    rngs:
-        Optional per-pattern generators (one per pattern, consumed in order).
-    seed:
-        Base seed used to spawn per-pattern child generators when ``rngs`` is
-        not given; the spawn matches :class:`~repro.engine.campaign.Campaign`
-        and :func:`~repro.engine.batch.run_randomized_batch`.
-    max_slots:
-        Per-row horizon, measured from each row's own first wake-up.
-    feedback:
-        Channel feedback model; defaults to the model
-        :func:`~repro.channel.simulator.run_randomized` would pick
-        (:class:`~repro.channel.feedback.CollisionDetection` when the policy
-        requires it, the paper's no-collision-detection model otherwise).
-
-    Returns
-    -------
-    BatchResult
-        Outcome columns (including ``slots_examined``) bit-for-bit identical
-        to running ``run_randomized`` per pattern with the same generators.
+    ``feedback`` defaults to the model
+    :func:`~repro.channel.simulator.run_randomized` would pick
+    (:class:`~repro.channel.feedback.CollisionDetection` when the policy
+    requires it, the paper's no-collision-detection model otherwise).  The
+    outcome columns, ``slots_examined`` included, are bit-for-bit those of
+    ``run_randomized`` per pattern with the same generators.
     """
-    if not isinstance(policy, RandomizedPolicy):
-        raise TypeError(f"expected a RandomizedPolicy, got {type(policy).__name__}")
-    if not isinstance(policy, FeedbackVectorizedPolicy):
-        raise TypeError(
-            f"{type(policy).__name__} does not implement the FeedbackVectorizedPolicy "
-            "surface; use run_randomized_batch, which falls back to the slot loop"
-        )
-    if not policy.feedback_vectorized:
-        raise TypeError(
-            f"{type(policy).__name__} overrides scalar behaviour without overriding "
-            "the vectorized surface (feedback_vectorized is False); use "
-            "run_randomized_batch, which falls back to the slot loop"
-        )
-    patterns = _validate_batch(policy, patterns)
-    if not patterns:
-        return BatchResult.empty(policy)
-    generators = _resolve_generators(rngs, seed, len(patterns))
     if feedback is None:
-        from repro.channel.feedback import CollisionDetection, NoCollisionDetection
-
         feedback = (
             CollisionDetection()
             if policy.requires_collision_detection
@@ -156,12 +114,9 @@ def run_feedback_batch(
         )
     lut = signal_table(feedback)
 
-    B = len(patterns)
-    pair_row, pair_station, pair_wake = _flatten_patterns(patterns)
-    k = np.asarray([p.k for p in patterns], dtype=np.int64)
-    first_wake = np.asarray([p.first_wake for p in patterns], dtype=np.int64)
-    max_slots = int(max_slots)
-    horizon = first_wake + max_slots
+    B = len(rows.patterns)
+    pair_row, pair_station, pair_wake = rows.pair_row, rows.pair_station, rows.pair_wake
+    first_wake, horizon = rows.first_wake, rows.horizon
 
     solved = np.zeros(B, dtype=bool)
     success_slot = np.full(B, -1, dtype=np.int64)
@@ -170,7 +125,7 @@ def run_feedback_batch(
     row_done = np.zeros(B, dtype=bool)
 
     state = policy.batch_create_state(pair_row, pair_station, pair_wake)
-    draw = _make_row_draw(generators, pair_row)
+    draw = _make_row_draw(rows.generators, pair_row)
     alive_pair = np.ones(pair_row.shape[0], dtype=bool)
     slot = int(first_wake.min())
     awake_buf = np.empty(pair_row.shape[0], dtype=bool)
@@ -236,18 +191,4 @@ def run_feedback_batch(
     obs.add("engine.patterns", B)
     obs.add("engine.patterns_solved", int(np.count_nonzero(solved)))
 
-    # Match the slot-loop engine's accounting exactly: a solved run examines
-    # latency + 1 slots, an unsolved run the full horizon.
-    slots_examined = np.where(solved, latency + 1, np.int64(max_slots))
-
-    return BatchResult(
-        protocol=policy.describe(),
-        n=policy.n,
-        solved=solved,
-        k=k,
-        first_wake=first_wake,
-        success_slot=success_slot,
-        winner=winner,
-        latency=latency,
-        slots_examined=slots_examined,
-    )
+    return rows.result(policy, solved, success_slot, winner, latency)

@@ -25,7 +25,7 @@ worker count (``tests/service`` holds the literal byte comparison).
   (``hit``/``miss``), 400 for malformed queries, 500 for resolution
   failures (the daemon survives them);
 * ``GET /status`` — live counters: requests, hits, misses, in-flight,
-  stored records, uptime;
+  stored records, pool restarts, uptime;
 * ``POST /stop`` — acknowledges, then shuts the server down.
 
 :func:`serve` ties both together for the CLI: it publishes the bound
@@ -47,6 +47,7 @@ import os
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional, Tuple
 
@@ -81,7 +82,8 @@ class ResultsService:
     workers:
         Worker processes for cold queries.  ``0`` resolves misses inline in
         the serving thread (the CLI fallback path); results are bit-for-bit
-        identical either way.
+        identical either way.  A pool broken by a dead worker is replaced
+        and the miss retried once (counted in ``pool_restarts``).
     """
 
     def __init__(self, store: SweepStore, *, workers: int = 2) -> None:
@@ -92,6 +94,7 @@ class ResultsService:
         self.requests = 0
         self.hits = 0
         self.misses = 0
+        self.pool_restarts = 0
         self._pool: Optional[ProcessPoolExecutor] = None
         self._inflight: Dict[str, Future] = {}
         self._lock = threading.Lock()
@@ -157,23 +160,19 @@ class ResultsService:
     def _compute(self, config: SweepConfig, key: str) -> ConfigRecord:
         """Resolve one miss, single-flight per config hash.
 
-        The first thread to miss a hash owns its future (pool-submitted, or
-        computed inline without a pool); concurrent requests for the same
-        hash await that future instead of resolving the config again.  Only
-        the owner writes the store, after the future resolves.
+        The first thread to miss a hash owns its future and resolves the
+        config; concurrent requests for the same hash await that future
+        instead of resolving the config again.  Only the owner writes the
+        store, after the future resolves.
         """
         with self._lock:
             future = self._inflight.get(key)
             owner = future is None
             if owner:
-                if self._pool is None:
-                    future = Future()
-                else:
-                    future = self._pool.submit(resolve_config, config)
-                self._inflight[key] = future
-        if owner and self._pool is None:
+                future = self._inflight[key] = Future()
+        if owner:
             try:
-                future.set_result(resolve_config(config))
+                future.set_result(self._resolve_in_pool(config))
             except BaseException as exc:
                 future.set_exception(exc)
         try:
@@ -189,6 +188,34 @@ class ResultsService:
                     self._inflight.pop(key, None)
         return record
 
+    def _resolve_in_pool(self, config: SweepConfig) -> ConfigRecord:
+        """Resolve one config in the pool (inline without one).
+
+        A worker that dies (killed, out of memory) breaks the whole pool, so
+        every later submit would fail too: the broken pool is replaced and
+        the config retried once on the fresh one.
+        """
+        pool = self._pool
+        if pool is None:
+            return resolve_config(config)
+        try:
+            return pool.submit(resolve_config, config).result()
+        except BrokenProcessPool:
+            return self._restart_pool(pool).submit(resolve_config, config).result()
+
+    def _restart_pool(self, broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
+        """Replace ``broken`` unless another request already has."""
+        with self._lock:
+            if self._pool is broken:
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+                self.pool_restarts += 1
+                obs.add("service.pool_restarts")
+            pool = self._pool
+        broken.shutdown(wait=False)
+        if pool is None:
+            raise BrokenProcessPool("the service was closed while a worker died")
+        return pool
+
     # -- introspection -------------------------------------------------------
 
     def status(self) -> Dict[str, object]:
@@ -196,6 +223,7 @@ class ResultsService:
         with self._lock:
             requests, hits, misses = self.requests, self.hits, self.misses
             inflight = len(self._inflight)
+            pool_restarts = self.pool_restarts
         return {
             "schema": 1,
             "requests": requests,
@@ -203,6 +231,7 @@ class ResultsService:
             "misses": misses,
             "inflight": inflight,
             "workers": self.workers,
+            "pool_restarts": pool_restarts,
             "records": len(self.store),
             "store": str(self.store.root),
             "pid": os.getpid(),

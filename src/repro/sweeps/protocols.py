@@ -152,7 +152,7 @@ def _build_beb(n, k, seed, cache):
     from repro.baselines import BinaryExponentialBackoff
 
     # Construction is deterministic; the backoff draws come from per-pattern
-    # child streams at simulation time (run_feedback_batch / the slot loop),
+    # child streams at simulation time (the feedback scan / the slot loop),
     # which is what keeps sweep results worker-count invariant.
     return BinaryExponentialBackoff(n)
 

@@ -19,8 +19,9 @@ resolved from its own content alone:
 * patterns come from ``WorkloadSuite.generate(workload, n, k, batch, seed)``,
   whose per-row generators are ``SeedSequence``-spawned from the config seed
   keyed by the workload name (see :mod:`repro._util`);
-* randomized policies draw from per-pattern child streams spawned from the
-  config seed by the :class:`~repro.engine.Campaign` inside the worker;
+* randomized policies draw from per-pattern child streams that
+  :func:`~repro.engine.run_batch` spawns from the config seed inside the
+  worker, before it cuts the batch into scan blocks;
 * protocol construction is deterministic in ``(name, n, k, seed)``
   (:mod:`repro.sweeps.protocols`).
 
@@ -65,9 +66,10 @@ def resolve_config(config: SweepConfig) -> ConfigRecord:
     """Resolve one config end to end; the unit of work a sweep worker runs.
 
     Builds the protocol from the config's name axes, draws the pattern batch
-    through the workload suite, pushes it through a serial
-    :class:`~repro.engine.Campaign` (parallelism lives at the config level),
-    and returns the full-outcome :class:`~repro.sweeps.store.ConfigRecord`.
+    through the workload suite, resolves it with one engine call
+    (:class:`~repro.engine.Campaign`, i.e. :func:`~repro.engine.run_batch`;
+    parallelism lives at the config level), and returns the full-outcome
+    :class:`~repro.sweeps.store.ConfigRecord`.
     """
     from repro.sweeps.protocols import build_protocol
     from repro.workloads import WorkloadSuite

@@ -17,12 +17,12 @@ those shapes:
 
 Batches from the suite feed the batch engine directly:
 
->>> from repro.engine import run_deterministic_batch
+>>> from repro.engine import run_batch
 >>> from repro.workloads import WorkloadSuite
 >>> from repro.core.round_robin import RoundRobin
 >>> patterns = WorkloadSuite().generate("duty-cycle", n=64, k=8, batch=32, seed=1)
->>> run_deterministic_batch(RoundRobin(64), patterns).solved.all()
-np.True_
+>>> bool(run_batch(RoundRobin(64), patterns).solved.all())
+True
 
 From the command line: ``python -m repro workloads list`` /
 ``... workloads sample --workload churn`` / ``... workloads run --protocol

@@ -96,6 +96,12 @@ class TestWorstCaseSearch:
         # The worst case cannot be better than the simultaneous best case.
         assert result.latency >= 0
 
+    def test_rejects_randomized_policies(self):
+        from repro.core.randomized import RepeatedProbabilityDecrease
+
+        with pytest.raises(TypeError, match="DeterministicProtocol"):
+            worst_case_search(RepeatedProbabilityDecrease(16), 16, 4, trials=2, rng=1)
+
     def test_worst_case_at_least_average(self):
         protocol = RoundRobin(32)
         worst, _ = worst_case_search(protocol, 32, 8, trials=8, rng=3)

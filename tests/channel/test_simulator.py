@@ -6,7 +6,7 @@ import pytest
 
 from repro.channel.feedback import CollisionDetection
 from repro.channel.protocols import DeterministicProtocol, RandomizedPolicy
-from repro.channel.simulator import Simulator, WakeupResult, run_deterministic, run_randomized
+from repro.channel.simulator import WakeupResult, run_deterministic, run_randomized
 from repro.channel.wakeup import WakeupPattern
 from repro.core.round_robin import RoundRobin
 
@@ -152,30 +152,6 @@ class TestRunRandomized:
             feedback=CollisionDetection(),
         )
         assert result.solved
-
-
-class TestSimulatorFacade:
-    def test_dispatch_deterministic(self):
-        sim = Simulator(max_slots=1000)
-        result = sim.run(RoundRobin(16), WakeupPattern(16, {5: 0, 9: 3}))
-        assert result.solved
-
-    def test_dispatch_randomized(self):
-        sim = Simulator(max_slots=1000, rng=1)
-        result = sim.run(AlwaysPolicy(16), WakeupPattern(16, {5: 0}))
-        assert result.solved
-
-    def test_dispatch_rejects_unknown_type(self):
-        sim = Simulator()
-        with pytest.raises(TypeError):
-            sim.run(object(), WakeupPattern(4, {1: 0}))
-
-    def test_run_many(self):
-        sim = Simulator(max_slots=1000)
-        patterns = [WakeupPattern(8, {i: 0}) for i in range(1, 4)]
-        results = sim.run_many(RoundRobin(8), patterns)
-        assert len(results) == 3
-        assert all(r.solved for r in results)
 
 
 class TestVectorizedMatchesNaive:

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.channel.simulator import WakeupResult, run_deterministic
+from repro.channel.simulator import WakeupResult, run_deterministic, run_randomized
 from repro.channel.wakeup import WakeupPattern
 from repro.core.randomized import FixedProbabilityPolicy, RepeatedProbabilityDecrease
 from repro.core.round_robin import RoundRobin
-from repro.engine import BatchResult, run_deterministic_batch, run_randomized_batch
+from repro.engine import BatchResult, run_batch
+from repro.engine.batch import _deterministic_scan, _flatten_patterns
 
 
 @pytest.fixture
@@ -21,34 +24,36 @@ def batch_result():
         WakeupPattern(16, {2: 1, 3: 1}),
         WakeupPattern(16, {11: 4}),
     ]
-    return run_deterministic_batch(protocol, patterns), protocol, patterns
+    return run_batch(protocol, patterns), protocol, patterns
 
 
-class TestRunDeterministicBatch:
+class TestRunBatchDeterministic:
     def test_empty_batch(self):
-        result = run_deterministic_batch(RoundRobin(8), [])
+        result = run_batch(RoundRobin(8), [])
         assert len(result) == 0
         assert result.solved_fraction == 1.0
 
-    def test_rejects_randomized_policies(self):
-        from repro.core.randomized import RepeatedProbabilityDecrease
-
-        with pytest.raises(TypeError):
-            run_deterministic_batch(RepeatedProbabilityDecrease(8), [])
+    def test_rejects_stray_streams(self):
+        # A deterministic run consumes no randomness: streams passed to it
+        # would be silently dropped, so either one is an error.
+        with pytest.raises(ValueError, match="deterministic"):
+            run_batch(RoundRobin(8), [], seed=0)
+        with pytest.raises(ValueError, match="deterministic"):
+            run_batch(RoundRobin(8), [], rngs=[])
 
     def test_rejects_mismatched_universe(self):
         with pytest.raises(ValueError, match="does not match"):
-            run_deterministic_batch(RoundRobin(8), [WakeupPattern(16, {3: 0})])
+            run_batch(RoundRobin(8), [WakeupPattern(16, {3: 0})])
 
     def test_single_station_solves_at_its_slot(self):
-        result = run_deterministic_batch(RoundRobin(16), [WakeupPattern(16, {11: 4})])
+        result = run_batch(RoundRobin(16), [WakeupPattern(16, {11: 4})])
         reference = run_deterministic(RoundRobin(16), WakeupPattern(16, {11: 4}))
         assert result.success_slot[0] == reference.success_slot
         assert result.winner[0] == 11
 
     def test_rows_with_distant_first_wakes_share_one_scan(self):
         patterns = [WakeupPattern(16, {3: 0}), WakeupPattern(16, {5: 10_000})]
-        result = run_deterministic_batch(RoundRobin(16), patterns)
+        result = run_batch(RoundRobin(16), patterns)
         for i, pattern in enumerate(patterns):
             reference = run_deterministic(RoundRobin(16), pattern)
             assert result.success_slot[i] == reference.success_slot
@@ -65,49 +70,59 @@ class TestRunDeterministicBatch:
             for offset in range(0, 64, 2)
         ]
         with obs.capture() as state:
-            run_deterministic_batch(RoundRobin(n), patterns, chunk=16)
+            _deterministic_scan(RoundRobin(n), _flatten_patterns(patterns), chunk=16)
             snapshot = state.snapshot()
         assert snapshot["counters"].get("engine.chunks", 0) > 1
         assert snapshot["gauges"].get("engine.scratch_bytes_reused", 0) > 0
 
 
-class TestRunRandomizedBatch:
+class TestRunBatchRandomized:
     def test_empty_batch(self):
-        result = run_randomized_batch(RepeatedProbabilityDecrease(8), [])
+        result = run_batch(RepeatedProbabilityDecrease(8), [])
         assert len(result) == 0
         assert result.solved_fraction == 1.0
 
-    def test_rejects_deterministic_protocols(self):
-        with pytest.raises(TypeError):
-            run_randomized_batch(RoundRobin(8), [])
-
     def test_rejects_mismatched_universe(self):
         with pytest.raises(ValueError, match="does not match"):
-            run_randomized_batch(
-                RepeatedProbabilityDecrease(8), [WakeupPattern(16, {3: 0})]
-            )
+            run_batch(RepeatedProbabilityDecrease(8), [WakeupPattern(16, {3: 0})])
 
     def test_rejects_wrong_generator_count(self):
         with pytest.raises(ValueError, match="one generator per pattern"):
-            run_randomized_batch(
+            run_batch(
                 RepeatedProbabilityDecrease(8),
                 [WakeupPattern(8, {3: 0})],
                 rngs=[np.random.default_rng(0), np.random.default_rng(1)],
             )
 
-    def test_seeded_call_matches_campaign(self):
-        # Engine-level seed spawning uses the same namespace as Campaign, so
-        # the two entry points agree on every outcome.
+    def test_rejects_rngs_and_seed_together(self):
+        # rngs fixes every pattern's stream; a seed passed alongside would be
+        # silently dropped, so the pair is an error.
+        with pytest.raises(ValueError, match="not both"):
+            run_batch(
+                RepeatedProbabilityDecrease(8),
+                [WakeupPattern(8, {3: 0})],
+                rngs=[np.random.default_rng(0)],
+                seed=0,
+            )
+
+    def test_seed_spawns_campaign_streams(self):
+        # seed= spawns one child per pattern under the "campaign" key: the
+        # same outcomes as passing those streams explicitly, and as Campaign.
+        from repro._util import spawn_generators
         from repro.engine import Campaign
         from repro.workloads import WorkloadSuite
 
         policy = RepeatedProbabilityDecrease(64)
         patterns = WorkloadSuite().generate("uniform", n=64, k=6, batch=20, seed=4)
-        direct = run_randomized_batch(policy, patterns, seed=123)
-        campaign = Campaign(policy, seed=123, shard_size=6).run(patterns)
-        np.testing.assert_array_equal(direct.success_slot, campaign.success_slot)
-        np.testing.assert_array_equal(direct.winner, campaign.winner)
-        np.testing.assert_array_equal(direct.latency, campaign.latency)
+        seeded = run_batch(policy, patterns, seed=123)
+        explicit = run_batch(
+            policy, patterns, rngs=spawn_generators(123, len(patterns), "campaign")
+        )
+        campaign = Campaign(policy, seed=123).run(patterns)
+        for other in (explicit, campaign):
+            np.testing.assert_array_equal(seeded.success_slot, other.success_slot)
+            np.testing.assert_array_equal(seeded.winner, other.winner)
+            np.testing.assert_array_equal(seeded.latency, other.latency)
 
     def test_rejects_bad_probability_matrix_shape(self):
         class Misshapen(FixedProbabilityPolicy):
@@ -115,9 +130,7 @@ class TestRunRandomizedBatch:
                 return np.zeros((len(stations), 1))
 
         with pytest.raises(ValueError, match="probability matrix of shape"):
-            run_randomized_batch(
-                Misshapen(8, 0.5), [WakeupPattern(8, {3: 0})], seed=0, max_slots=32
-            )
+            run_batch(Misshapen(8, 0.5), [WakeupPattern(8, {3: 0})], seed=0, max_slots=32)
 
     def test_rejects_out_of_range_probabilities(self):
         class TooEager(FixedProbabilityPolicy):
@@ -125,12 +138,10 @@ class TestRunRandomizedBatch:
                 return np.full((len(stations), stop - start), 1.5)
 
         with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
-            run_randomized_batch(
-                TooEager(8, 0.5), [WakeupPattern(8, {3: 0})], seed=0, max_slots=32
-            )
+            run_batch(TooEager(8, 0.5), [WakeupPattern(8, {3: 0})], seed=0, max_slots=32)
 
     def test_single_certain_transmitter_wins_at_wake(self):
-        result = run_randomized_batch(
+        result = run_batch(
             FixedProbabilityPolicy(8, 1.0), [WakeupPattern(8, {5: 7})], seed=0
         )
         assert bool(result.solved[0])
@@ -138,6 +149,60 @@ class TestRunRandomizedBatch:
         assert int(result.winner[0]) == 5
         assert int(result.latency[0]) == 0
         assert int(result.slots_examined[0]) == 1
+
+
+class TestRunBatchDispatch:
+    """One entry point: every protocol kind in, one error for anything else."""
+
+    @pytest.mark.parametrize("patterns", [[], [WakeupPattern(4, {1: 0})]])
+    def test_rejects_non_protocols(self, patterns):
+        with pytest.raises(TypeError, match="DeterministicProtocol or RandomizedPolicy"):
+            run_batch(object(), patterns)
+
+    def test_each_kind_matches_its_scalar_engine(self):
+        from repro._util import spawn_generators
+        from repro.baselines import BinaryExponentialBackoff
+
+        patterns = [WakeupPattern(16, {5: 0, 9: 3}), WakeupPattern(16, {2: 1, 3: 1})]
+        for protocol in (
+            RoundRobin(16),
+            RepeatedProbabilityDecrease(16),
+            BinaryExponentialBackoff(16),
+        ):
+            if isinstance(protocol, RoundRobin):
+                result = run_batch(protocol, patterns, max_slots=1000)
+                references = [run_deterministic(protocol, p, max_slots=1000) for p in patterns]
+                # The deterministic slots_examined is the block's co-scanned
+                # window, not the scalar engine's; every other field agrees.
+                rows = [replace(row, slots_examined=0) for row in result]
+                references = [replace(r, slots_examined=0) for r in references]
+            else:
+                result = run_batch(protocol, patterns, seed=1, max_slots=1000)
+                rows = list(result)
+                references = [
+                    run_randomized(protocol, p, rng=rng, max_slots=1000)
+                    for p, rng in zip(patterns, spawn_generators(1, 2, "campaign"))
+                ]
+            assert rows == references
+
+    def test_feedback_policy_without_vectorized_surface_uses_the_slot_loop(self):
+        # A feedback-driven policy that lacks the vectorized feedback surface
+        # still resolves through run_batch, row by row in the slot loop.
+        from repro._util import spawn_generators
+
+        class Sticky(FixedProbabilityPolicy):
+            def observe(self, state, slot, signal, transmitted, rng=None):
+                pass
+
+        policy = Sticky(8, 0.5)
+        assert policy.feedback_driven
+        patterns = [WakeupPattern(8, {1: 0, 2: 0}), WakeupPattern(8, {3: 4})]
+        result = run_batch(policy, patterns, seed=2, max_slots=200)
+        references = [
+            run_randomized(policy, p, rng=rng, max_slots=200)
+            for p, rng in zip(patterns, spawn_generators(2, 2, "campaign"))
+        ]
+        assert list(result) == references
 
 
 class TestBatchResultContainer:
@@ -169,7 +234,7 @@ class TestBatchResultContainer:
         assert result.mean_latency() == pytest.approx(float(result.latency.mean()))
 
     def test_require_all_solved_raises_on_unsolved_rows(self):
-        result = run_deterministic_batch(
+        result = run_batch(
             RoundRobin(16), [WakeupPattern(16, {3: 0, 5: 0})], max_slots=1
         )
         assert not result.solved[0]
@@ -188,6 +253,6 @@ class TestBatchResultContainer:
         result, _, _ = batch_result
         with pytest.raises(ValueError):
             BatchResult.concat([])
-        other = run_deterministic_batch(RoundRobin(8), [WakeupPattern(8, {3: 0})])
+        other = run_batch(RoundRobin(8), [WakeupPattern(8, {3: 0})])
         with pytest.raises(ValueError, match="different protocols"):
             BatchResult.concat([result, other])

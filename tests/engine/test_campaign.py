@@ -1,6 +1,13 @@
-"""Tests for :class:`repro.engine.Campaign` (sharding, randomized path)."""
+"""Tests for :class:`repro.engine.Campaign` and ``run_batch``'s seeded streams.
+
+``Campaign.run`` is one ``run_batch`` call with the protocol, horizon and
+seed bound; the per-pattern stream contracts it relied on live in
+``run_batch`` and are checked here through it.
+"""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,9 +15,12 @@ import pytest
 from repro.channel.wakeup import WakeupPattern
 from repro.core.randomized import RepeatedProbabilityDecrease
 from repro.core.round_robin import RoundRobin
-from repro.engine import Campaign, run_deterministic_batch
+from repro.engine import Campaign, run_batch
 from repro.experiments.cache import FamilyCache
+from repro.sweeps.protocols import build_protocol
 from repro.workloads import WorkloadSuite
+
+COLUMNS = ("solved", "k", "first_wake", "success_slot", "winner", "latency", "slots_examined")
 
 
 @pytest.fixture(scope="module")
@@ -18,14 +28,27 @@ def patterns():
     return WorkloadSuite().generate("uniform", n=64, k=8, batch=30, seed=5)
 
 
-class TestCampaignValidation:
+def _assert_same(result, expected):
+    for column in COLUMNS:
+        np.testing.assert_array_equal(getattr(result, column), getattr(expected, column))
+
+
+class TestCampaign:
+    def test_binds_protocol_horizon_and_seed_only(self):
+        # run is defined in the class body: the end-to-end benchmark wraps
+        # and restores it through vars(Campaign)["run"].
+        assert [f.name for f in dataclasses.fields(Campaign)] == [
+            "protocol",
+            "max_slots",
+            "seed",
+        ]
+        assert "run" in vars(Campaign)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Campaign(RoundRobin(8)).seed = 1
+
     def test_rejects_non_protocols(self):
         with pytest.raises(TypeError):
-            Campaign(object())
-
-    def test_rejects_bad_shard_size(self):
-        with pytest.raises(ValueError):
-            Campaign(RoundRobin(8), shard_size=0)
+            Campaign(object()).run([])
 
     def test_empty_run_is_empty_for_both_protocol_kinds(self):
         # Deterministic and randomized campaigns agree on the empty batch:
@@ -36,58 +59,29 @@ class TestCampaignValidation:
             assert result.protocol == protocol.describe()
             assert result.solved_fraction == 1.0
 
-
-class TestDeterministicCampaign:
-    def test_matches_unsharded_batch(self, patterns):
+    def test_deterministic_run_is_run_batch_without_the_seed(self, patterns):
+        # A deterministic protocol consumes no randomness; the campaign's seed
+        # is not forwarded (run_batch would reject it).
         protocol = RoundRobin(64)
-        expected = run_deterministic_batch(protocol, patterns)
-        for shard_size in (7, 10, 30, 1):
-            result = Campaign(protocol, shard_size=shard_size).run(patterns)
-            np.testing.assert_array_equal(result.latency, expected.latency)
-            np.testing.assert_array_equal(result.winner, expected.winner)
-            np.testing.assert_array_equal(result.success_slot, expected.success_slot)
+        result = Campaign(protocol, max_slots=500, seed=7).run(patterns)
+        _assert_same(result, run_batch(protocol, patterns, max_slots=500))
 
-    def test_empty_run(self):
-        result = Campaign(RoundRobin(8)).run([])
-        assert len(result) == 0
-
-
-class TestRandomizedCampaign:
-    def test_outcomes_independent_of_sharding(self, patterns):
+    def test_randomized_run_is_run_batch_with_the_seed(self, patterns):
         policy = RepeatedProbabilityDecrease(64)
-        baseline = Campaign(policy, seed=3, shard_size=30).run(patterns)
-        for shard_size in (4, 11, 1, 7):
-            result = Campaign(policy, seed=3, shard_size=shard_size).run(patterns)
-            np.testing.assert_array_equal(result.success_slot, baseline.success_slot)
-            np.testing.assert_array_equal(result.winner, baseline.winner)
-            np.testing.assert_array_equal(result.latency, baseline.latency)
+        result = Campaign(policy, max_slots=500, seed=3).run(patterns)
+        _assert_same(result, run_batch(policy, patterns, seed=3, max_slots=500))
 
-    def test_feedback_policy_outcomes_independent_of_sharding(self):
-        # Feedback baselines draw backoff windows / splitting coins from the
-        # per-pattern streams spawned before sharding, so campaigns over them
-        # are shard-invariant too.
-        from repro.baselines import BinaryExponentialBackoff, TreeSplitting
 
-        patterns = WorkloadSuite().generate("simultaneous", n=64, k=8, batch=24, seed=2)
-        for policy in (BinaryExponentialBackoff(64), TreeSplitting(64)):
-            baseline = Campaign(policy, seed=3, shard_size=24).run(patterns)
-            for shard_size in (5, 9):
-                result = Campaign(policy, seed=3, shard_size=shard_size).run(patterns)
-                np.testing.assert_array_equal(result.success_slot, baseline.success_slot)
-                np.testing.assert_array_equal(result.winner, baseline.winner)
-                np.testing.assert_array_equal(
-                    result.slots_examined, baseline.slots_examined
-                )
-
+class TestSeededStreams:
     def test_matches_per_pattern_slot_loop(self, patterns):
-        # The campaign's randomized path is the batched engine; its outcomes
-        # must be bit-for-bit the slot-loop engine's under the same child
-        # streams (spawned exactly as Campaign.run spawns them).
+        # The randomized path is the batched scan; its outcomes must be
+        # bit-for-bit the slot-loop engine's under the same child streams
+        # (spawned exactly as run_batch spawns them from a seed).
         from repro._util import spawn_generators
         from repro.channel.simulator import run_randomized
 
         policy = RepeatedProbabilityDecrease(64)
-        result = Campaign(policy, seed=9, shard_size=8).run(patterns)
+        result = run_batch(policy, patterns, seed=9)
         generators = spawn_generators(9, len(patterns), "campaign")
         for i, (pattern, gen) in enumerate(zip(patterns, generators)):
             reference = run_randomized(policy, pattern, rng=gen)
@@ -98,12 +92,12 @@ class TestRandomizedCampaign:
             assert int(result.slots_examined[i]) == reference.slots_examined
 
     def test_seed_streams_stable_under_batch_extension(self, patterns):
-        # Child generators are spawned per pattern index before sharding, so
-        # the outcome of pattern i is a prefix property: running a longer
-        # batch (with a different shard layout) must not disturb it.
+        # Child generators are spawned per pattern index before the batch is
+        # cut into blocks, so the outcome of pattern i is a prefix property:
+        # running a longer batch must not disturb it.
         policy = RepeatedProbabilityDecrease(64)
-        prefix = Campaign(policy, seed=5, shard_size=7).run(patterns[:12])
-        full = Campaign(policy, seed=5, shard_size=13).run(patterns)
+        prefix = run_batch(policy, patterns[:12], seed=5)
+        full = run_batch(policy, patterns, seed=5)
         np.testing.assert_array_equal(full.success_slot[:12], prefix.success_slot)
         np.testing.assert_array_equal(full.winner[:12], prefix.winner)
         np.testing.assert_array_equal(full.latency[:12], prefix.latency)
@@ -118,7 +112,7 @@ class TestRandomizedCampaign:
             WakeupPattern(16, {1: 0, 2: 0}),
             WakeupPattern(16, {3: 2, 4: 2, 5: 2}),
         ]
-        result = Campaign(policy, seed=0, max_slots=40).run(patterns)
+        result = run_batch(policy, patterns, seed=0, max_slots=40)
         assert not result.solved.any()
         np.testing.assert_array_equal(result.success_slot, [-1, -1])
         np.testing.assert_array_equal(result.winner, [-1, -1])
@@ -129,24 +123,24 @@ class TestRandomizedCampaign:
 
     def test_seed_changes_outcomes(self, patterns):
         policy = RepeatedProbabilityDecrease(64)
-        a = Campaign(policy, seed=1).run(patterns)
-        b = Campaign(policy, seed=2).run(patterns)
+        a = run_batch(policy, patterns, seed=1)
+        b = run_batch(policy, patterns, seed=2)
         assert not np.array_equal(a.success_slot, b.success_slot)
 
     def test_row_alignment_with_patterns(self, patterns):
         policy = RepeatedProbabilityDecrease(64)
-        result = Campaign(policy, seed=0).run(patterns)
+        result = run_batch(policy, patterns, seed=0)
         assert len(result) == len(patterns)
         np.testing.assert_array_equal(result.k, [p.k for p in patterns])
         np.testing.assert_array_equal(result.first_wake, [p.first_wake for p in patterns])
 
 
-class TestScenarioBFactory:
-    def test_for_scenario_b_uses_the_given_cache(self, patterns):
+class TestCachedScenarioB:
+    def test_registry_protocol_uses_the_given_cache(self, patterns):
+        # Scenario B built through the registry takes its selective families
+        # from the cache it is given, and run_batch resolves it.
         cache = FamilyCache()
-        campaign = Campaign.for_scenario_b(64, 8, cache=cache, shard_size=8)
-        result = campaign.run(patterns)
+        protocol = build_protocol("scenario-b", 64, 8, seed=0, cache=cache)
+        result = run_batch(protocol, patterns)
         assert bool(result.solved.all())
-        # The families used by the protocol came from (and stayed in) the cache:
-        # the cached slice holds the very same SelectiveFamily objects.
-        assert cache.concatenation(64, 8, seed=0) == campaign.protocol.wait_and_go_arm.families
+        assert cache.concatenation(64, 8, seed=0) == protocol.wait_and_go_arm.families

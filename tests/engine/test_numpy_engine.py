@@ -28,12 +28,8 @@ from repro.core.waking_matrix import (
     matrix_batch_transmit_slots,
     matrix_parameters,
 )
-from repro.engine import (
-    run_batch,
-    run_deterministic_batch,
-    run_feedback_batch,
-    run_randomized_batch,
-)
+from repro.engine import run_batch
+from repro.engine.batch import _deterministic_scan, _flatten_patterns, _randomized_scan
 from repro.engine.backend import get_backend
 from repro.sweeps.protocols import build_protocol, protocol_names
 from repro.workloads import WorkloadSuite
@@ -103,8 +99,8 @@ class TestChunkLayoutInvariance:
     def test_deterministic(self, factory, chunk):
         protocol = factory()
         patterns = _patterns("staggered")
-        reference = run_deterministic_batch(protocol, patterns)
-        result = run_deterministic_batch(protocol, patterns, chunk=chunk)
+        reference = run_batch(protocol, patterns)
+        result = _deterministic_scan(protocol, _flatten_patterns(patterns), chunk=chunk)
         # slots_examined is the scanned window, which follows the chunk
         # layout by design; the outcome columns must not.
         _assert_identical(result, reference, f"chunk={chunk}", OUTCOMES)
@@ -118,8 +114,11 @@ class TestChunkLayoutInvariance:
     def test_randomized(self, factory, chunk):
         policy = factory()
         patterns = _patterns("staggered")
-        reference = run_randomized_batch(policy, patterns, seed=SEED)
-        result = run_randomized_batch(policy, patterns, seed=SEED, chunk=chunk)
+        reference = run_batch(policy, patterns, seed=SEED)
+        rows = _flatten_patterns(
+            patterns, generators=spawn_generators(SEED, BATCH, "campaign")
+        )
+        result = _randomized_scan(policy, rows, chunk=chunk)
         _assert_identical(result, reference, f"chunk={chunk}")
 
 
@@ -135,7 +134,7 @@ class TestUnsolvedRows:
 
     def test_deterministic(self):
         patterns = [WakeupPattern(N, {20: 0, 30: 0}), WakeupPattern(N, {25: 3, 31: 3})]
-        result = run_deterministic_batch(RoundRobin(N), patterns, max_slots=1)
+        result = run_batch(RoundRobin(N), patterns, max_slots=1)
         self._assert_unsolved(result, 1)
 
     def test_randomized(self):
@@ -144,7 +143,7 @@ class TestUnsolvedRows:
         # (the slot loop agrees), so a one-slot horizon leaves the row unsolved.
         patterns = [WakeupPattern(N, {u: 0 for u in range(1, N + 1)})]
         policy = RepeatedProbabilityDecrease(N)
-        result = run_randomized_batch(policy, patterns, seed=SEED, max_slots=1)
+        result = run_batch(policy, patterns, seed=SEED, max_slots=1)
         reference = run_randomized(
             policy,
             patterns[0],
@@ -158,9 +157,7 @@ class TestUnsolvedRows:
         # Every station transmits in its first slot under BEB, so a
         # simultaneous pair collides and a one-slot horizon leaves it unsolved.
         patterns = [WakeupPattern(N, {3: 0, 9: 0}), WakeupPattern(N, {4: 2, 5: 2})]
-        result = run_feedback_batch(
-            BinaryExponentialBackoff(N), patterns, seed=SEED, max_slots=1
-        )
+        result = run_batch(BinaryExponentialBackoff(N), patterns, seed=SEED, max_slots=1)
         self._assert_unsolved(result, 1)
 
 
@@ -174,9 +171,7 @@ class TestFeedbackOutcomes:
             WakeupPattern(N, {1: 0, 2: 0, 3: 0, 4: 0}),
             WakeupPattern(N, {7: 5}),
         ]
-        result = run_feedback_batch(
-            policy, patterns, rngs=spawn_generators(SEED, 3, "campaign")
-        )
+        result = run_batch(policy, patterns, rngs=spawn_generators(SEED, 3, "campaign"))
         for i, (pattern, rng) in enumerate(
             zip(patterns, spawn_generators(SEED, 3, "campaign"))
         ):

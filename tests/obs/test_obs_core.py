@@ -168,8 +168,6 @@ class TestCountersAndMerge:
             "sweeps.configs_total": 4,
             "sweeps.configs_reused": 0,
             "sweeps.configs_resolved": 4,
-            "campaign.shards": 4,
-            "campaign.patterns": 32,
             "engine.chunks": 4,
             "engine.slots_scanned": 4096,
             "engine.patterns": 32,

@@ -92,7 +92,6 @@ class TestSummarizeTrace:
         top = [name for name, *_ in summarize_trace(trace).top_spans()]
         assert "sweeps.run" in top
         assert "engine.chunk_scan" in top
-        assert "campaign.run" in top
 
     def test_manifest_timings_replace_span_events(self, tmp_path):
         trace = tmp_path / "t.jsonl"

@@ -1,7 +1,7 @@
 """Property-based equivalence of the batch engine and the per-pattern engine.
 
-The contract of :func:`repro.engine.run_deterministic_batch` is that its
-outcome columns are *bit-identical* to running
+The contract of the deterministic scan behind :func:`repro.engine.run_batch` is
+that its outcome columns are *bit-identical* to running
 :func:`repro.channel.simulator.run_deterministic` pattern by pattern — for any
 protocol, any batch of wake-up patterns, any chunk size, and any horizon
 (including rows that do not solve wake-up within it).  These tests pin that
@@ -23,7 +23,8 @@ from repro.core.scenario_a import WakeupWithS
 from repro.core.scenario_b import WaitAndGo, WakeupWithK
 from repro.core.scenario_c import WakeupProtocol
 from repro.core.selective import concatenated_families
-from repro.engine import run_deterministic_batch
+from repro.engine import run_batch
+from repro.engine.batch import _deterministic_scan, _flatten_patterns
 
 N = 16
 _FAMILIES_K4 = concatenated_families(N, 4, rng=3)
@@ -78,7 +79,8 @@ class TestBatchMatchesPerPattern:
         protocol = PROTOCOL_FACTORIES[name]()
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
         max_slots = 3000
-        result = run_deterministic_batch(protocol, patterns, max_slots=max_slots, chunk=chunk)
+        rows = _flatten_patterns(patterns, max_slots)
+        result = _deterministic_scan(protocol, rows, chunk=chunk)
         _assert_rows_match(result, patterns, protocol, max_slots)
 
     @given(
@@ -94,7 +96,8 @@ class TestBatchMatchesPerPattern:
         # (per-row horizons, winner extraction, row retirement) can diverge.
         protocol = PROTOCOL_FACTORIES[name]()
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
-        result = run_deterministic_batch(protocol, patterns, max_slots=max_slots, chunk=chunk)
+        rows = _flatten_patterns(patterns, max_slots)
+        result = _deterministic_scan(protocol, rows, chunk=chunk)
         _assert_rows_match(result, patterns, protocol, max_slots)
 
     @given(wake_lists=batches, chunks=st.tuples(
@@ -104,8 +107,9 @@ class TestBatchMatchesPerPattern:
     def test_chunk_size_never_changes_outcomes(self, wake_lists, chunks):
         protocol = WakeupWithK(N, 4, families=_FAMILIES_K4)
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
-        a = run_deterministic_batch(protocol, patterns, max_slots=500, chunk=chunks[0])
-        b = run_deterministic_batch(protocol, patterns, max_slots=500, chunk=chunks[1])
+        rows = _flatten_patterns(patterns, 500)
+        a = _deterministic_scan(protocol, rows, chunk=chunks[0])
+        b = _deterministic_scan(protocol, rows, chunk=chunks[1])
         np.testing.assert_array_equal(a.solved, b.solved)
         np.testing.assert_array_equal(a.success_slot, b.success_slot)
         np.testing.assert_array_equal(a.winner, b.winner)
@@ -122,5 +126,5 @@ class TestSubclassConsistencyGuard:
                 return np.empty(0, dtype=np.int64)
 
         patterns = [WakeupPattern(N, {3: 0, 7: 2})]
-        result = run_deterministic_batch(Never(N), patterns, max_slots=100)
+        result = run_batch(Never(N), patterns, max_slots=100)
         assert not result.solved[0]

@@ -1,8 +1,8 @@
 """Property-based equivalence of the feedback batch engine and the slot loop.
 
-The contract of :func:`repro.engine.run_feedback_batch` is that, given the
-same per-pattern child generators, its outcome columns — including
-``slots_examined`` — are *bit-for-bit* identical to running
+The contract of the feedback scan behind :func:`repro.engine.run_batch` is
+that, given the same per-pattern child generators, its outcome columns —
+including ``slots_examined`` — are *bit-for-bit* identical to running
 :func:`repro.channel.simulator.run_randomized` pattern by pattern, for any
 batch of wake-up patterns and any horizon (including rows that never solve).
 The engine earns this by consuming each pattern's stream in the slot loop's
@@ -13,7 +13,7 @@ stations whose scalar ``observe`` would draw, in pattern order.  These tests
 pin the contract down for both native implementations (binary exponential
 backoff across exponent caps, tree splitting), the batch-size/shard
 invariance that follows from per-pattern streams, the dispatch through
-``run_randomized_batch``, and the ``__init_subclass__`` consistency guard.
+``run_batch``, and the ``__init_subclass__`` consistency guard.
 """
 
 from __future__ import annotations
@@ -24,9 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.baselines import BinaryExponentialBackoff, TreeSplitting
 from repro.channel.feedback import CollisionDetection, NoCollisionDetection
+from repro._util import spawn_generators
 from repro.channel.simulator import run_randomized
 from repro.channel.wakeup import WakeupPattern
-from repro.engine import run_feedback_batch, run_randomized_batch
+from repro.engine import run_batch
+from repro.engine.batch import _flatten_patterns, _randomized_scan
+from repro.engine.feedback_batch import _feedback_scan
 
 N = 16
 
@@ -87,9 +90,7 @@ class TestBatchMatchesSlotLoop:
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
         batch_gens, reference_gens = _twin_generators(len(patterns), seed_base)
         max_slots = 500
-        result = run_feedback_batch(
-            policy, patterns, rngs=batch_gens, max_slots=max_slots
-        )
+        result = run_batch(policy, patterns, rngs=batch_gens, max_slots=max_slots)
         _assert_rows_match(result, patterns, policy, reference_gens, max_slots)
 
     @given(
@@ -105,9 +106,7 @@ class TestBatchMatchesSlotLoop:
         policy = POLICY_FACTORIES[name]()
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
         batch_gens, reference_gens = _twin_generators(len(patterns), seed_base)
-        result = run_feedback_batch(
-            policy, patterns, rngs=batch_gens, max_slots=max_slots
-        )
+        result = run_batch(policy, patterns, rngs=batch_gens, max_slots=max_slots)
         _assert_rows_match(result, patterns, policy, reference_gens, max_slots)
 
     @given(
@@ -127,11 +126,11 @@ class TestBatchMatchesSlotLoop:
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
         split = min(split, len(patterns) - 1)
         whole_gens, shard_gens = _twin_generators(len(patterns), seed_base)
-        whole = run_feedback_batch(policy, patterns, rngs=whole_gens, max_slots=300)
-        front = run_feedback_batch(
+        whole = run_batch(policy, patterns, rngs=whole_gens, max_slots=300)
+        front = run_batch(
             policy, patterns[:split], rngs=shard_gens[:split], max_slots=300
         )
-        back = run_feedback_batch(
+        back = run_batch(
             policy, patterns[split:], rngs=shard_gens[split:], max_slots=300
         )
         sharded_slots = list(front.success_slot) + list(back.success_slot)
@@ -150,7 +149,7 @@ class TestBatchMatchesSlotLoop:
             WakeupPattern(N, {s: 0 for s in range(5, 13)}),
         ]
         batch_gens, reference_gens = _twin_generators(len(patterns), 777)
-        result = run_feedback_batch(policy, patterns, rngs=batch_gens, max_slots=2_000)
+        result = run_batch(policy, patterns, rngs=batch_gens, max_slots=2_000)
         _assert_rows_match(result, patterns, policy, reference_gens, 2_000)
 
     @given(seed_base=st.integers(min_value=0, max_value=1_000_000))
@@ -164,9 +163,8 @@ class TestBatchMatchesSlotLoop:
         patterns = [WakeupPattern(N, {1: 0, 2: 0}), WakeupPattern(N, {3: 1})]
         batch_gens, reference_gens = _twin_generators(len(patterns), seed_base)
         model = NoCollisionDetection()
-        result = run_feedback_batch(
-            policy, patterns, rngs=batch_gens, max_slots=50, feedback=model
-        )
+        rows = _flatten_patterns(patterns, 50, batch_gens)
+        result = _feedback_scan(policy, rows, feedback=model)
         for i, pattern in enumerate(patterns):
             reference = run_randomized(
                 policy, pattern, rng=reference_gens[i], max_slots=50, feedback=model
@@ -181,50 +179,57 @@ class TestBatchMatchesSlotLoop:
         policy = TreeSplitting(N)
         patterns = [WakeupPattern(N, {1: 0, 2: 0, 3: 2})]
         default_gens, explicit_gens = _twin_generators(1, 31)
-        default = run_feedback_batch(policy, patterns, rngs=default_gens, max_slots=200)
-        explicit = run_feedback_batch(
+        default = run_batch(policy, patterns, rngs=default_gens, max_slots=200)
+        explicit = _feedback_scan(
             policy,
-            patterns,
-            rngs=explicit_gens,
-            max_slots=200,
+            _flatten_patterns(patterns, 200, explicit_gens),
             feedback=CollisionDetection(),
         )
         np.testing.assert_array_equal(default.success_slot, explicit.success_slot)
         np.testing.assert_array_equal(default.winner, explicit.winner)
 
     def test_empty_batch(self):
-        result = run_feedback_batch(BinaryExponentialBackoff(N), [])
+        result = run_batch(BinaryExponentialBackoff(N), [])
         assert len(result) == 0
 
 
-class TestDispatchThroughRandomizedBatch:
+class TestDispatchThroughRunBatch:
+    PATTERNS = [
+        WakeupPattern(N, {1: 0, 2: 0, 5: 3}),
+        WakeupPattern(N, {3: 1, 4: 1}),
+        WakeupPattern(N, {7: 0}),
+    ]
+
     @pytest.mark.parametrize(
         "factory",
         [lambda: BinaryExponentialBackoff(N), lambda: TreeSplitting(N)],
     )
-    def test_run_randomized_batch_routes_to_feedback_engine(self, factory):
-        # Same seed, same patterns: the generic entry point and the explicit
-        # feedback engine call must produce identical columns.
-        patterns = [
-            WakeupPattern(N, {1: 0, 2: 0, 5: 3}),
-            WakeupPattern(N, {3: 1, 4: 1}),
-            WakeupPattern(N, {7: 0}),
-        ]
-        via_generic = run_randomized_batch(factory(), patterns, seed=9, max_slots=500)
-        via_feedback = run_feedback_batch(factory(), patterns, seed=9, max_slots=500)
-        np.testing.assert_array_equal(
-            via_generic.success_slot, via_feedback.success_slot
+    def test_run_batch_routes_to_feedback_scan(self, factory):
+        # Same seed, same patterns: the entry point and the feedback scan
+        # over the streams it spawns must produce identical columns.
+        via_entry = run_batch(factory(), self.PATTERNS, seed=9, max_slots=500)
+        rows = _flatten_patterns(
+            self.PATTERNS, 500, spawn_generators(9, len(self.PATTERNS), "campaign")
         )
-        np.testing.assert_array_equal(via_generic.winner, via_feedback.winner)
-        np.testing.assert_array_equal(
-            via_generic.slots_examined, via_feedback.slots_examined
-        )
+        via_scan = _feedback_scan(factory(), rows)
+        np.testing.assert_array_equal(via_entry.success_slot, via_scan.success_slot)
+        np.testing.assert_array_equal(via_entry.winner, via_scan.winner)
+        np.testing.assert_array_equal(via_entry.slots_examined, via_scan.slots_examined)
 
-    def test_non_vectorized_policy_rejected_by_feedback_engine(self):
+    def test_oblivious_policy_routes_to_chunked_scan(self):
+        # A policy that is not feedback-driven never reaches the feedback
+        # scan: run_batch resolves it with the chunked Bernoulli scan.
         from repro.core.randomized import RepeatedProbabilityDecrease
 
-        with pytest.raises(TypeError):
-            run_feedback_batch(RepeatedProbabilityDecrease(N), [])
+        policy = RepeatedProbabilityDecrease(N)
+        assert not policy.feedback_driven
+        via_entry = run_batch(policy, self.PATTERNS, seed=9, max_slots=500)
+        rows = _flatten_patterns(
+            self.PATTERNS, 500, spawn_generators(9, len(self.PATTERNS), "campaign")
+        )
+        via_scan = _randomized_scan(policy, rows)
+        np.testing.assert_array_equal(via_entry.success_slot, via_scan.success_slot)
+        np.testing.assert_array_equal(via_entry.winner, via_scan.winner)
 
 
 class TestSubclassConsistencyGuard:
@@ -237,13 +242,11 @@ class TestSubclassConsistencyGuard:
         # base's update rule; the guard routes the subclass to the slot loop.
         assert StubbornBackoff.feedback_vectorized is False
         policy = StubbornBackoff(N)
-        with pytest.raises(TypeError):
-            run_feedback_batch(policy, [])
-        # ... but run_randomized_batch still resolves it (slot-loop fallback),
+        # run_batch resolves it through the slot-loop fallback instead,
         # bit-for-bit against the reference engine.
         patterns = [WakeupPattern(N, {1: 0, 2: 0})]
         batch_gens, reference_gens = _twin_generators(1, 12)
-        result = run_randomized_batch(policy, patterns, rngs=batch_gens, max_slots=300)
+        result = run_batch(policy, patterns, rngs=batch_gens, max_slots=300)
         reference = run_randomized(
             policy, patterns[0], rng=reference_gens[0], max_slots=300
         )

@@ -1,13 +1,14 @@
 """Property-based equivalence of the randomized batch engine and the slot loop.
 
-The contract of :func:`repro.engine.run_randomized_batch` is that, given the
-same per-pattern child generators, its outcome columns are *bit-for-bit*
-identical to running :func:`repro.channel.simulator.run_randomized` pattern
-by pattern — for any policy, any batch of wake-up patterns, any chunk size,
-and any horizon (including rows that never solve).  The engine earns this by
-consuming each pattern's stream in the slot loop's exact order: slots
-ascending, stations in pattern order within a slot, one uniform draw per
-awake station with positive probability.  These tests pin the contract down
+The contract of the randomized scan behind :func:`repro.engine.run_batch` is
+that, given the same per-pattern child generators, its outcome columns are
+*bit-for-bit* identical to running
+:func:`repro.channel.simulator.run_randomized` pattern by pattern — for any
+policy, any batch of wake-up patterns, any chunk size, and any horizon
+(including rows that never solve).  The engine earns this by consuming each
+pattern's stream in the slot loop's exact order: slots ascending, stations
+in pattern order within a slot, one uniform draw per awake station with
+positive probability.  These tests pin the contract down
 across every oblivious policy with a native ``transmit_probability_matrix``,
 one relying on the generic scalar-derived default, and the feedback-driven
 fallback path.
@@ -28,7 +29,8 @@ from repro.core.randomized import (
     FixedProbabilityPolicy,
     RepeatedProbabilityDecrease,
 )
-from repro.engine import run_randomized_batch
+from repro.engine import run_batch
+from repro.engine.batch import _flatten_patterns, _randomized_scan
 
 N = 16
 
@@ -109,8 +111,8 @@ class TestBatchMatchesSlotLoop:
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
         batch_gens, reference_gens = _twin_generators(len(patterns), seed_base)
         max_slots = 300
-        result = run_randomized_batch(
-            policy, patterns, rngs=batch_gens, max_slots=max_slots, chunk=chunk
+        result = _randomized_scan(
+            policy, _flatten_patterns(patterns, max_slots, batch_gens), chunk=chunk
         )
         _assert_rows_match(result, patterns, policy, reference_gens, max_slots)
 
@@ -128,8 +130,8 @@ class TestBatchMatchesSlotLoop:
         policy = POLICY_FACTORIES[name]()
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
         batch_gens, reference_gens = _twin_generators(len(patterns), seed_base)
-        result = run_randomized_batch(
-            policy, patterns, rngs=batch_gens, max_slots=max_slots, chunk=chunk
+        result = _randomized_scan(
+            policy, _flatten_patterns(patterns, max_slots, batch_gens), chunk=chunk
         )
         _assert_rows_match(result, patterns, policy, reference_gens, max_slots)
 
@@ -145,7 +147,7 @@ class TestBatchMatchesSlotLoop:
             for i in range(3)
         ]
         batch_gens, reference_gens = _twin_generators(len(patterns), 900)
-        result = run_randomized_batch(policy, patterns, rngs=batch_gens, max_slots=400)
+        result = run_batch(policy, patterns, rngs=batch_gens, max_slots=400)
         _assert_rows_match(result, patterns, policy, reference_gens, 400)
 
     @given(
@@ -163,8 +165,8 @@ class TestBatchMatchesSlotLoop:
         for chunk in chunks:
             gens = [np.random.default_rng(7000 + i) for i in range(len(patterns))]
             results.append(
-                run_randomized_batch(
-                    policy, patterns, rngs=gens, max_slots=200, chunk=chunk
+                _randomized_scan(
+                    policy, _flatten_patterns(patterns, 200, gens), chunk=chunk
                 )
             )
         a, b = results
@@ -194,7 +196,7 @@ class TestFeedbackDrivenFallback:
         batch_policy, reference_policy = factory(11), factory(11)
         assert batch_policy.feedback_driven
         batch_gens, reference_gens = _twin_generators(len(patterns), 500)
-        result = run_randomized_batch(
+        result = run_batch(
             batch_policy, patterns, rngs=batch_gens, max_slots=500
         )
         for i, pattern in enumerate(patterns):
@@ -222,7 +224,7 @@ class TestSubclassConsistencyGuard:
         policy = Constant(N)
         patterns = [WakeupPattern(N, {1: 0, 2: 2})]
         batch_gens, reference_gens = _twin_generators(1, 42)
-        result = run_randomized_batch(policy, patterns, rngs=batch_gens, max_slots=200)
+        result = run_batch(policy, patterns, rngs=batch_gens, max_slots=200)
         reference = run_randomized(
             policy, patterns[0], rng=reference_gens[0], max_slots=200
         )

@@ -22,7 +22,8 @@ from repro.channel.simulator import run_deterministic
 from repro.channel.wakeup import WakeupPattern
 from repro.core.local_clock import LocalClockScenarioC
 from repro.core.scenario_c import WakeupProtocol
-from repro.engine import run_deterministic_batch
+from repro.engine import run_batch
+from repro.engine.batch import _deterministic_scan, _flatten_patterns
 
 N = 16
 
@@ -105,7 +106,8 @@ class TestEngineMatchesPerPattern:
         protocol = PROTOCOL_FACTORIES[name]()
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
         max_slots = 3000
-        result = run_deterministic_batch(protocol, patterns, max_slots=max_slots, chunk=chunk)
+        rows = _flatten_patterns(patterns, max_slots)
+        result = _deterministic_scan(protocol, rows, chunk=chunk)
         self._assert_rows_match(result, patterns, protocol, max_slots)
 
     @given(
@@ -121,7 +123,8 @@ class TestEngineMatchesPerPattern:
         # where batch bookkeeping can diverge from the per-pattern engine.
         protocol = PROTOCOL_FACTORIES[name]()
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
-        result = run_deterministic_batch(protocol, patterns, max_slots=max_slots, chunk=chunk)
+        rows = _flatten_patterns(patterns, max_slots)
+        result = _deterministic_scan(protocol, rows, chunk=chunk)
         self._assert_rows_match(result, patterns, protocol, max_slots)
 
     @staticmethod
@@ -145,8 +148,9 @@ class TestEngineMatchesPerPattern:
     def test_chunk_size_never_changes_outcomes(self, wake_lists, chunks):
         protocol = WakeupProtocol(N, seed=11)
         patterns = [WakeupPattern(N, wakes) for wakes in wake_lists]
-        a = run_deterministic_batch(protocol, patterns, max_slots=1500, chunk=chunks[0])
-        b = run_deterministic_batch(protocol, patterns, max_slots=1500, chunk=chunks[1])
+        rows = _flatten_patterns(patterns, 1500)
+        a = _deterministic_scan(protocol, rows, chunk=chunks[0])
+        b = _deterministic_scan(protocol, rows, chunk=chunks[1])
         np.testing.assert_array_equal(a.solved, b.solved)
         np.testing.assert_array_equal(a.success_slot, b.success_slot)
         np.testing.assert_array_equal(a.winner, b.winner)
@@ -193,7 +197,7 @@ class TestSubclassConsistencyGuard:
         )
         protocol = OddStationsOnly(N, seed=11)
         patterns = [WakeupPattern(N, {2: 0, 4: 1}), WakeupPattern(N, {3: 0, 8: 2})]
-        result = run_deterministic_batch(protocol, patterns, max_slots=2000)
+        result = run_batch(protocol, patterns, max_slots=2000)
         for i, pattern in enumerate(patterns):
             reference = run_deterministic(protocol, pattern, max_slots=2000)
             assert bool(result.solved[i]) == reference.solved

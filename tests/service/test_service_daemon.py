@@ -159,6 +159,27 @@ class TestResolutionCore:
         assert status["schema"] == 1
         assert (status["requests"], status["hits"], status["misses"]) == (1, 0, 1)
         assert status["records"] == 1 and status["inflight"] == 0
+        assert status["pool_restarts"] == 0
+
+    def test_killed_worker_is_replaced_and_the_miss_retried(self, tmp_path):
+        # SIGKILL the only pool worker: the pool is broken for every later
+        # submit, so the next miss must rebuild it and still answer exactly
+        # what the batch path computes.
+        import os
+        import signal
+
+        with ResultsService(SweepStore(tmp_path / "store"), workers=1) as pooled:
+            worker = pooled._pool.submit(os.getpid).result()
+            os.kill(worker, signal.SIGKILL)
+            record, cached = pooled.resolve(CONFIG)
+            assert not cached
+            assert api.render_response(record) == api.render_response(
+                resolve_config(CONFIG)
+            )
+            assert pooled.status()["pool_restarts"] == 1
+            other = api.normalize_query({**QUERY, "seed": 1})
+            assert pooled.resolve(other)[0] == resolve_config(other)
+            assert pooled.status()["pool_restarts"] == 1
 
 
 class TestHttpFrontDoor:

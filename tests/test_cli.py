@@ -197,6 +197,13 @@ class TestWorkloadsCommand:
         assert exit_code == 0
         assert "max_latency" in out and "workload: heavy-tailed" in out
 
+    def test_run_has_no_shard_size_flag(self, capsys):
+        # Blocks are fixed inside the engine; there is nothing to tune.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["workloads", "run", "--n", "32", "--k", "4", "--shard-size", "8"])
+        assert excinfo.value.code == 2
+        assert "--shard-size" in capsys.readouterr().err
+
     def test_run_randomized_policy(self, capsys):
         exit_code = main(
             [

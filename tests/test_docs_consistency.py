@@ -150,7 +150,8 @@ class TestDocsDirectory:
         text = (DOCS / "architecture.md").read_text()
         for anchor in (
             "batch_transmit_slots",
-            "run_deterministic_batch",
+            "run_batch",
+            "SCAN_BLOCK_ROWS",
             "SweepRunner",
             "SeedSequence.spawn",
         ):

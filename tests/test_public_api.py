@@ -51,6 +51,22 @@ class TestPublicSurface:
         assert repro.scenario_ab_bound(64, 4) > 0
         assert repro.scenario_c_bound(64, 4) > repro.scenario_ab_bound(64, 4)
 
+    def test_engine_has_one_entry_point(self):
+        import repro.channel
+        import repro.engine
+
+        assert sorted(repro.engine.__all__) == ["BatchResult", "Campaign", "run_batch"]
+        assert repro.run_batch is repro.engine.run_batch
+        removed = (
+            "run_deterministic_batch",
+            "run_randomized_batch",
+            "run_feedback_batch",
+            "Simulator",
+        )
+        for module in (repro, repro.engine, repro.channel):
+            for name in removed:
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
+
     def test_experiment_registry_exported(self):
         assert "E1" in repro.DEFINITIONS
         assert callable(repro.run_experiment)
