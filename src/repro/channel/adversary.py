@@ -22,9 +22,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import obs
 from repro._util import RngLike, as_generator, validate_k_n
 from repro.channel.protocols import DeterministicProtocol
-from repro.channel.simulator import WakeupResult, run_deterministic
+from repro.channel.simulator import WakeupResult
 from repro.channel.wakeup import WakeupPattern
 
 __all__ = [
@@ -252,7 +253,8 @@ class AdaptiveLowerBoundAdversary:
     1. runs the protocol on ``X`` and finds the first isolating slot ``r`` and
        isolated station ``x``;
     2. replaces ``x`` with a fresh station ``y`` from the complement that has
-       not been used before, obtaining ``X'``;
+       not been used before, preferring one that does *not* transmit at
+       ``r``, obtaining ``X'``;
     3. repeats, for up to ``min(k, n - k)`` iterations.
 
     Each iteration forces the protocol to "spend" a distinct isolating slot,
@@ -261,12 +263,22 @@ class AdaptiveLowerBoundAdversary:
     worst (largest) first-isolation latency among the constructed contender
     sets — an empirical certificate that the protocol cannot beat the bound.
 
+    Both per-step queries run on the batch engine's array paths: step 1 is a
+    one-row :func:`~repro.engine.run_batch` call, and step 2 is one
+    :meth:`~repro.channel.protocols.DeterministicProtocol.batch_transmit_slots`
+    query over every fresh station at the single slot ``r``.  Outcomes are
+    those of :func:`~repro.channel.simulator.run_deterministic` and the scalar
+    :meth:`~repro.channel.protocols.DeterministicProtocol.transmits` rule,
+    step for step (``tests/channel/test_adversary.py`` replays every step
+    through them).
+
     Parameters
     ----------
     protocol:
         Any deterministic protocol.
     max_slots:
-        Horizon per run.
+        Horizon per run.  A contender set the protocol does not isolate within
+        it ends the run, with ``max_slots`` recorded as its latency.
     """
 
     protocol: DeterministicProtocol
@@ -276,7 +288,10 @@ class AdaptiveLowerBoundAdversary:
         self, k: int, *, initial: Optional[Sequence[int]] = None, rng: RngLike = None
     ) -> "AdversaryReport":
         """Execute the replacement process and return a report."""
-        n = self.protocol.n
+        from repro.engine import run_batch
+
+        protocol = self.protocol
+        n = protocol.n
         k, n = validate_k_n(k, n)
         gen = as_generator(rng)
         if initial is not None:
@@ -285,46 +300,53 @@ class AdaptiveLowerBoundAdversary:
                 raise ValueError(f"initial set must have size k={k}, got {len(current)}")
         else:
             current = random_station_subset(n, k, gen)
-        fresh = [u for u in range(1, n + 1) if u not in set(current)]
-        gen.shuffle(fresh)
+        taken = set(current)
+        shuffled = [u for u in range(1, n + 1) if u not in taken]
+        gen.shuffle(shuffled)
+        # The unused complement, in shuffled order; the replacement rule picks
+        # from its end, so the order is part of the outcome.
+        fresh = np.asarray(shuffled, dtype=np.int64)
 
         isolating_slots: List[int] = []
         latencies: List[int] = []
         histories: List[Tuple[int, ...]] = []
-        iterations = min(k, n - k) if n > k else 1
-        iterations = max(1, iterations)
+        iterations = max(1, min(k, n - k))
 
-        for _ in range(iterations):
-            pattern = WakeupPattern(n, {u: 0 for u in current})
-            result = run_deterministic(self.protocol, pattern, max_slots=self.max_slots)
-            histories.append(tuple(current))
-            if not result.solved:
-                # The protocol never isolates this set within the horizon: the
-                # adversary has already won; record a sentinel latency.
-                latencies.append(self.max_slots)
-                break
-            assert result.success_slot is not None and result.winner is not None
-            isolating_slots.append(result.success_slot)
-            latencies.append(result.require_solved())
-            if not fresh:
-                break
-            # Following the proof, prefer a replacement that does NOT transmit at
-            # the isolating round: then the old round cannot isolate the new set,
-            # forcing the protocol to reserve a different round for it.
-            transmitting_at_r = {
-                u
-                for u in fresh
-                if self.protocol.transmits(u, 0, result.success_slot)
-            }
-            preferred = [u for u in fresh if u not in transmitting_at_r]
-            replacement = preferred[-1] if preferred else fresh[-1]
-            fresh.remove(replacement)
-            current = sorted(set(current) - {result.winner} | {replacement})
+        with obs.span("adversary.run", protocol=protocol.describe(), k=k, steps=iterations):
+            for _ in range(iterations):
+                pattern = WakeupPattern(n, {u: 0 for u in current})
+                result = run_batch(protocol, [pattern], max_slots=self.max_slots)[0]
+                histories.append(tuple(current))
+                if not result.solved:
+                    # The protocol never isolates this set within the horizon:
+                    # the adversary has already won; record a sentinel latency.
+                    latencies.append(self.max_slots)
+                    break
+                assert result.success_slot is not None and result.winner is not None
+                r = result.success_slot
+                isolating_slots.append(r)
+                latencies.append(result.require_solved())
+                if not fresh.size:
+                    break
+                # Following the proof, prefer a replacement that does NOT
+                # transmit at the isolating round: then the old round cannot
+                # isolate the new set, forcing the protocol to reserve a
+                # different round for it.
+                transmitting, _ = protocol.batch_transmit_slots(
+                    fresh, np.zeros_like(fresh), r, r + 1
+                )
+                silent = np.ones(fresh.size, dtype=bool)
+                silent[transmitting] = False
+                preferred = np.flatnonzero(silent)
+                pick = int(preferred[-1]) if preferred.size else fresh.size - 1
+                replacement = int(fresh[pick])
+                fresh = np.delete(fresh, pick)
+                current = sorted(set(current) - {result.winner} | {replacement})
 
         return AdversaryReport(
             n=n,
             k=k,
-            protocol=self.protocol.describe(),
+            protocol=protocol.describe(),
             distinct_isolating_slots=len(set(isolating_slots)),
             max_latency=max(latencies) if latencies else 0,
             latencies=tuple(latencies),

@@ -32,11 +32,11 @@ from repro.channel.adversary import (
     uniform_random_pattern,
     window_boundary_pattern,
 )
-from repro.channel.simulator import run_deterministic
 from repro.channel.wakeup import WakeupPattern
 from repro.core.lower_bounds import scenario_c_bound
 from repro.core.scenario_c import WakeupProtocol
 from repro.core.waking_matrix import HashedTransmissionMatrix, TransmissionMatrix, matrix_parameters
+from repro.engine import run_batch
 
 __all__ = [
     "MatrixVerificationReport",
@@ -129,28 +129,38 @@ def verify_matrix(
     slot within ``budget_factor * k log n log log n`` slots of the first
     wake-up.  The check goes through the full protocol (not only the
     matrix-level isolation predicate) so that it also covers the waiting rule
-    and the row progression.
+    and the row progression.  The battery is resolved on the batch engine,
+    one :func:`~repro.engine.run_batch` call per distinct budget; outcomes
+    equal :func:`~repro.channel.simulator.run_deterministic` per pattern.
     """
     n = matrix.n
     protocol = WakeupProtocol(n, matrix=matrix)
     battery = adversarial_pattern_battery(
         n, ks=ks, window_length=matrix.params.window, patterns_per_k=patterns_per_k, rng=rng
     )
-    failures: List[Tuple[int, int, int]] = []
-    worst_latency = 0
-    for pattern in battery:
-        budget = int(np.ceil(budget_factor * scenario_c_bound(n, pattern.k)))
-        result = run_deterministic(protocol, pattern, max_slots=budget)
-        if not result.solved:
-            failures.append((pattern.k, pattern.first_wake, budget))
-        else:
-            worst_latency = max(worst_latency, result.require_solved())
+    # The budget depends on k only: one engine call per distinct budget.
+    budgets = np.array(
+        [int(np.ceil(budget_factor * scenario_c_bound(n, p.k))) for p in battery],
+        dtype=np.int64,
+    )
+    solved = np.zeros(len(battery), dtype=bool)
+    latency = np.zeros(len(battery), dtype=np.int64)
+    for budget in np.unique(budgets):
+        group = np.flatnonzero(budgets == budget)
+        batch = run_batch(protocol, [battery[i] for i in group], max_slots=int(budget))
+        solved[group] = batch.solved
+        latency[group] = batch.latency
+    failures = tuple(
+        (battery[i].k, battery[i].first_wake, int(budgets[i]))
+        for i in np.flatnonzero(~solved)
+    )
+    worst_latency = int(latency[solved].max(initial=0))
     seed = getattr(matrix, "seed", None)
     return MatrixVerificationReport(
         n=n,
         seed=seed,
         patterns_checked=len(battery),
-        failures=tuple(failures),
+        failures=failures,
         worst_latency=worst_latency,
         budget_factor=budget_factor,
     )

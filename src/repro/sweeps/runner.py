@@ -47,7 +47,8 @@ points, which every worker loads on import, or run with ``workers <= 1``.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
@@ -143,6 +144,14 @@ def map_jobs(
     ``on_result(index, result)`` fires as each job finishes (completion
     order) — the hook the sweep store uses to persist records incrementally.
 
+    A worker that dies (``BrokenProcessPool``) breaks its whole pool.  The
+    jobs that completed before it keep their results; the pool is rebuilt
+    once and only the undelivered jobs are resubmitted (counted in
+    ``runner.pool_restarts``).  If the rebuilt pool breaks too,
+    ``BrokenProcessPool`` is raised naming the jobs that did not complete —
+    every completed result has been through ``on_result`` by then, so a
+    store-backed sweep resumes from it.
+
     When an observability session is active (:func:`repro.obs.enabled`), each
     job runs under a capture (see :class:`_InstrumentedJob`) and its snapshot
     is merged back here, on both the serial and the process path, so counter
@@ -174,14 +183,59 @@ def map_jobs(
     if workers <= 1 or len(jobs) <= 1:
         return [_deliver(index, run(job)) for index, job in enumerate(jobs)]
     out: Dict[int, _Out] = {}
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        pending = {pool.submit(run, job): index for index, job in enumerate(jobs)}
-        while pending:
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                index = pending.pop(future)
-                out[index] = _deliver(index, future.result())
+
+    def _keep(index: int, raw) -> None:
+        out[index] = _deliver(index, raw)
+
+    broken = _pool_round(run, jobs, range(len(jobs)), workers, _keep)
+    if broken is not None:
+        # A worker died (a crash, the OOM killer, a stray signal).  Every
+        # result that completed has been delivered; rebuild the pool once for
+        # the rest.
+        obs.add("runner.pool_restarts")
+        retry = [index for index in range(len(jobs)) if index not in out]
+        broken = _pool_round(run, jobs, retry, workers, _keep)
+        if broken is not None:
+            lost = [index for index in retry if index not in out]
+            raise BrokenProcessPool(
+                f"a worker died in the rebuilt pool too; jobs {lost} did not "
+                f"complete ({len(out)} of {len(jobs)} results were delivered)"
+            ) from broken
     return [out[index] for index in range(len(jobs))]
+
+
+def _pool_round(
+    run: Callable,
+    jobs: Sequence,
+    indices: Sequence[int],
+    workers: int,
+    keep: Callable[[int, object], None],
+) -> Optional[BrokenProcessPool]:
+    """Run ``jobs[i]`` for every ``i`` in ``indices`` on one fresh process pool.
+
+    ``keep(i, raw)`` receives each job's raw output as it completes.  A dead
+    worker breaks the whole pool, failing every job still in flight with it;
+    the round still hands every job that did complete to ``keep`` and then
+    returns the :class:`BrokenProcessPool` (``None`` when no worker died).
+    Any other exception of a job propagates.
+    """
+    broken: Optional[BrokenProcessPool] = None
+    with ProcessPoolExecutor(max_workers=min(workers, len(indices))) as pool:
+        futures = {}
+        for index in indices:
+            try:
+                futures[pool.submit(run, jobs[index])] = index
+            except BrokenProcessPool as exc:
+                broken = exc
+                break
+        for future in as_completed(futures):
+            try:
+                raw = future.result()
+            except BrokenProcessPool as exc:
+                broken = exc
+                continue
+            keep(futures[future], raw)
+    return broken
 
 
 @dataclass

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro._util import as_generator
 from repro.channel.adversary import (
     AdaptiveLowerBoundAdversary,
     batched_pattern,
@@ -15,8 +16,14 @@ from repro.channel.adversary import (
     window_boundary_pattern,
     worst_case_search,
 )
+from repro.channel.protocols import DeterministicProtocol
+from repro.channel.simulator import run_deterministic
+from repro.channel.wakeup import WakeupPattern
 from repro.core.lower_bounds import trivial_lower_bound
 from repro.core.round_robin import RoundRobin
+from repro.core.scenario_a import WakeupWithS
+from repro.core.scenario_b import WakeupWithK
+from repro.core.scenario_c import WakeupProtocol
 
 
 class TestPatternGenerators:
@@ -140,3 +147,98 @@ class TestAdaptiveLowerBoundAdversary:
         adversary = AdaptiveLowerBoundAdversary(RoundRobin(12))
         report = adversary.run(4, rng=1)
         assert len(report.latencies) == len(report.contender_sets)
+
+
+class _ReversedTurns(DeterministicProtocol):
+    """Round-robin in reverse station order, defined by ``transmits`` alone.
+
+    Overriding nothing else routes the adversary's replacement query through
+    the generic pair-by-pair ``batch_transmit_slots`` fallback.
+    """
+
+    name = "reversed-turns"
+
+    def transmits(self, station: int, wake_time: int, slot: int) -> bool:
+        return slot >= wake_time and slot % self.n == self.n - station
+
+
+def _replay(protocol, k, seed, max_slots, report):
+    """Check ``report`` step by step against the scalar engine and ``transmits``.
+
+    Every contender set is re-run through ``run_deterministic``; every
+    replacement is re-derived with the proof's rule evaluated one station at
+    a time over the shuffled complement (the same draws as the adversary's).
+    """
+    n = protocol.n
+    gen = as_generator(seed)
+    first = random_station_subset(n, k, gen)
+    fresh = [u for u in range(1, n + 1) if u not in first]
+    gen.shuffle(fresh)
+    assert report.contender_sets[0] == tuple(first)
+    for i, current in enumerate(report.contender_sets):
+        pattern = WakeupPattern(n, {u: 0 for u in current})
+        result = run_deterministic(protocol, pattern, max_slots=max_slots)
+        if not result.solved:
+            assert report.latencies[i] == max_slots
+            assert i == len(report.contender_sets) - 1
+            return
+        assert report.latencies[i] == result.latency
+        if i + 1 == len(report.contender_sets):
+            return
+        r = result.success_slot
+        preferred = [u for u in fresh if not protocol.transmits(u, 0, r)]
+        replacement = preferred[-1] if preferred else fresh[-1]
+        fresh.remove(replacement)
+        expected = tuple(sorted(set(current) - {result.winner} | {replacement}))
+        assert report.contender_sets[i + 1] == expected
+
+
+_ORACLE_PROTOCOLS = {
+    "round_robin": lambda n, k, seed: RoundRobin(n),
+    "wakeup_with_s": lambda n, k, seed: WakeupWithS(n, s=0, rng=seed),
+    "wakeup_with_k": lambda n, k, seed: WakeupWithK(n, k, rng=seed),
+    "wakeup_scenario_c": lambda n, k, seed: WakeupProtocol(n, seed=seed),
+    "reversed_turns": lambda n, k, seed: _ReversedTurns(n),
+}
+
+
+class TestAdversaryMatchesScalarOracle:
+    @pytest.mark.parametrize("name", sorted(_ORACLE_PROTOCOLS))
+    @pytest.mark.parametrize("n,k", [(16, 4), (32, 8), (32, 30)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_every_step_replays_through_the_scalar_engine(self, name, n, k, seed):
+        protocol = _ORACLE_PROTOCOLS[name](n, k, seed)
+        max_slots = 20_000
+        report = AdaptiveLowerBoundAdversary(protocol, max_slots=max_slots).run(k, rng=seed)
+        assert len(report.latencies) == len(report.contender_sets)
+        assert len(report.contender_sets) == min(k, n - k)
+        _replay(protocol, k, seed, max_slots, report)
+
+    def test_generic_fallback_subclass_is_exercised(self):
+        protocol = _ReversedTurns(16)
+        assert type(protocol).batch_transmit_slots is DeterministicProtocol.batch_transmit_slots
+        report = AdaptiveLowerBoundAdversary(protocol, max_slots=1_000).run(4, rng=3)
+        # Reversed turns isolate the highest station first, one slot per step.
+        assert report.distinct_isolating_slots == len(report.latencies) == 4
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_PROTOCOLS))
+    def test_unsolved_set_ends_the_run_with_the_sentinel(self, name):
+        n, k, seed, max_slots = 32, 8, 2, 1
+        protocol = _ORACLE_PROTOCOLS[name](n, k, seed)
+        report = AdaptiveLowerBoundAdversary(protocol, max_slots=max_slots).run(k, rng=seed)
+        assert report.latencies[-1] == max_slots
+        _replay(protocol, k, seed, max_slots, report)
+
+    def test_sentinel_after_solved_steps(self):
+        # Round-robin isolates the lowest contender, so from {1, 2, 3, 4}
+        # (fresh replacements all above 4) steps isolate at slots 0, 1, 2 and
+        # the fourth set needs slot 3, past a horizon of 3 slots.
+        n, k, max_slots = 32, 4, 3
+        protocol = RoundRobin(n)
+        report = AdaptiveLowerBoundAdversary(protocol, max_slots=max_slots).run(
+            k, initial=[1, 2, 3, 4], rng=0
+        )
+        assert report.latencies == (0, 1, 2, max_slots)
+        assert report.distinct_isolating_slots == 3
+        last = WakeupPattern(n, {u: 0 for u in report.contender_sets[-1]})
+        assert not run_deterministic(protocol, last, max_slots=max_slots).solved

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from repro.channel.simulator import run_deterministic
+from repro.core.lower_bounds import scenario_c_bound
 from repro.core.matrix_search import (
     MatrixVerificationReport,
     adversarial_pattern_battery,
@@ -15,6 +18,29 @@ from repro.core.waking_matrix import (
     HashedTransmissionMatrix,
     matrix_parameters,
 )
+from repro.core.scenario_c import WakeupProtocol
+
+
+def _per_pattern_report(matrix, *, ks, patterns_per_k, budget_factor, rng):
+    """The scalar reference: one ``run_deterministic`` per battery pattern."""
+    protocol = WakeupProtocol(matrix.n, matrix=matrix)
+    battery = adversarial_pattern_battery(
+        matrix.n, ks=ks, window_length=matrix.params.window,
+        patterns_per_k=patterns_per_k, rng=rng,
+    )
+    failures = []
+    worst = 0
+    for pattern in battery:
+        budget = int(np.ceil(budget_factor * scenario_c_bound(matrix.n, pattern.k)))
+        result = run_deterministic(protocol, pattern, max_slots=budget)
+        if result.solved:
+            worst = max(worst, result.latency)
+        else:
+            failures.append((pattern.k, pattern.first_wake, budget))
+    return MatrixVerificationReport(
+        n=matrix.n, seed=getattr(matrix, "seed", None), patterns_checked=len(battery),
+        failures=tuple(failures), worst_latency=worst, budget_factor=budget_factor,
+    )
 
 
 class TestPatternBattery:
@@ -48,6 +74,18 @@ class TestVerifyMatrix:
         assert not report.passed
         assert report.failures
         assert "FAIL" in report.describe()
+
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("budget_factor", [16.0, 0.25])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_report_equals_the_per_pattern_loop(self, n, budget_factor, seed):
+        matrix = HashedTransmissionMatrix(matrix_parameters(n), seed=seed)
+        kwargs = dict(ks=(1, 2, 4, 8), patterns_per_k=2, budget_factor=budget_factor)
+        report = verify_matrix(matrix, rng=seed, **kwargs)
+        assert report == _per_pattern_report(matrix, rng=seed, **kwargs)
+        if budget_factor < 1:
+            assert report.failures  # the tight budget exercises the failure path
 
 
 class TestFindSeed:

@@ -12,6 +12,12 @@ The contracts under test are the ones the sweep layer is built on:
 
 from __future__ import annotations
 
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+
 import pytest
 
 from repro.sweeps.runner import SweepRunner, map_jobs, resolve_config
@@ -183,8 +189,42 @@ class TestMapJobs:
         with pytest.raises(ValueError):
             map_jobs(_square, [1], workers=-1)
 
+    def test_worker_killed_once_is_recovered(self, tmp_path):
+        # Job 2 SIGKILLs its worker on its first attempt only: the pool is
+        # rebuilt once, the lost jobs are resubmitted, and every result
+        # arrives exactly once.
+        seen = {}
+        fn = partial(_kill_once, str(tmp_path / "killed"))
+        out = map_jobs(fn, range(6), workers=2, on_result=seen.__setitem__)
+        assert (tmp_path / "killed").exists()
+        assert out == [j * j for j in range(6)]
+        assert seen == {j: j * j for j in range(6)}
+
+    def test_worker_killed_twice_raises_after_delivering_the_rest(self):
+        # Job 5 kills its worker on every attempt, after the others finish:
+        # map_jobs names it in the error, and the five completed results have
+        # already reached on_result (a store-backed sweep keeps them).
+        seen = {}
+        with pytest.raises(BrokenProcessPool, match=r"jobs \[5\]"):
+            map_jobs(_kill_last, range(6), workers=2, on_result=seen.__setitem__)
+        assert seen == {j: j * j for j in range(5)}
+
 
 def _square(x: int) -> int:
+    return x * x
+
+
+def _kill_once(marker: str, x: int) -> int:
+    if x == 2 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
+def _kill_last(x: int) -> int:
+    if x == 5:
+        time.sleep(0.5)
+        os.kill(os.getpid(), signal.SIGKILL)
     return x * x
 
 
